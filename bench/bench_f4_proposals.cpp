@@ -115,22 +115,16 @@ int main(int argc, char** argv) {
       if (w <= max_w && (widths.empty() || widths.back() < w))
         widths.push_back(w);
 
-    auto& registry = obs::MetricsRegistry::global();
     Table wt({"walkers", "props_per_sec_off", "props_per_sec_on", "speedup",
-              "us_per_prop_on", "rows_per_gemm", "fill_fraction",
-              "pack_hit_rate"});
+              "us_per_prop_on", "rows_per_gemm", "fill_fraction"});
     for (const int n_walkers : widths) {
       double pps[2] = {0.0, 0.0};  // [0] = plane off, [1] = plane on
       double rows_per_gemm = 0.0;
       double fill = 0.0;
-      double pack_hit_rate = 0.0;
       for (const bool plane_on : {false, true}) {
         std::shared_ptr<core::DecodePlane> plane;
         if (plane_on)
           plane = std::make_shared<core::DecodePlane>(fw.vae());
-        const auto hits0 = registry.counter("nn.linear.pack.hits").value();
-        const auto miss0 =
-            registry.counter("nn.linear.pack.misses").value();
 
         std::atomic<int> ready{0};
         std::atomic<bool> go{false};
@@ -171,28 +165,19 @@ int main(int argc, char** argv) {
                               : static_cast<double>(st.rows) /
                                     static_cast<double>(st.batches);
           fill = st.last_fill_fraction;
-          const auto hits =
-              registry.counter("nn.linear.pack.hits").value() - hits0;
-          const auto misses =
-              registry.counter("nn.linear.pack.misses").value() - miss0;
-          pack_hit_rate = hits + misses == 0
-                              ? 0.0
-                              : static_cast<double>(hits) /
-                                    static_cast<double>(hits + misses);
         }
       }
       wt.add(static_cast<std::int64_t>(n_walkers), pps[0], pps[1],
              pps[0] == 0.0 ? 0.0 : pps[1] / pps[0],
              1e6 / (pps[1] / static_cast<double>(n_walkers)), rows_per_gemm,
-             fill, pack_hit_rate);
+             fill);
     }
     bench::emit(wt, cfg, "Table F4d: multi-walker decode plane on/off",
                 "_walkers");
-    std::cout << "note: on a single-core host both modes contend for the\n"
-                 "same ALUs and the decode GEMM is compute-bound, so the\n"
-                 "plane's fused batches mostly buy allocation-free serving\n"
-                 "rather than parallel speedup; multi-core hosts are where\n"
-                 "coalescing shows up in the speedup column.\n\n";
+    std::cout << "note: the plane runs each fused GEMM on the leader\n"
+                 "walker's thread while the others wait, so it pays only\n"
+                 "when that GEMM gets an OpenMP team on otherwise idle\n"
+                 "cores; with one core per walker, plane-off is faster.\n\n";
   }
 
   // ---- sparse delta vs full recompute for whole-config assignment ----

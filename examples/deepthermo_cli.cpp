@@ -51,11 +51,12 @@ vae_epochs = 12
 # default). Pure performance knobs -- sampled sequences are bitwise
 # identical for any setting (see README "Performance tuning").
 decode_batch = 0
-# coalesce walker decode refills into fused cross-walker GEMMs
-decode_plane = true
-# max microseconds a plane leader waits for stragglers before serving a
-# partial batch
-decode_plane_window_us = 200
+# Opt-in cross-walker decode plane: fuse all walkers' decode refills
+# into one GEMM on one thread. Pays only when that GEMM gets an OpenMP
+# team on otherwise idle cores. Unset keys keep the library defaults;
+# decode_plane_window_us is the max microseconds a plane leader waits
+# for stragglers before serving a partial batch.
+# decode_plane = true
 
 # production phase (0 = off)
 production_sweeps = 0
@@ -169,8 +170,9 @@ int main(int argc, char** argv) {
   opts.vae.epochs = static_cast<int>(cfg.get_int("vae_epochs", 12));
   opts.vae_decode_batch =
       static_cast<std::int32_t>(cfg.get_int("decode_batch", 0));
-  opts.decode_plane = cfg.get_bool("decode_plane", true);
-  opts.decode_plane_window_us = cfg.get_int("decode_plane_window_us", 200);
+  opts.decode_plane = cfg.get_bool("decode_plane", opts.decode_plane);
+  opts.decode_plane_window_us =
+      cfg.get_int("decode_plane_window_us", opts.decode_plane_window_us);
   opts.production_sweeps = cfg.get_int("production_sweeps", 0);
   opts.checkpoint_dir = cfg.get_string("checkpoint_dir", "");
   opts.checkpoint_interval_rounds = cfg.get_int("checkpoint_interval", 25);

@@ -5,9 +5,11 @@
 #
 # Builds the Release tree (build/), runs the micro benchmarks plus the
 # F4 proposal-throughput table, and combines the headline numbers into
-# BENCH_baseline.json at the repo root. Re-run on a quiet machine after
-# intentional performance changes; check.sh compares fresh runs against
-# this file and fails on >20% regressions.
+# BENCH_baseline.json at the repo root, stamped with the host (core
+# count, CPU model, compiler; scripts/host_stamp.py) and the commit.
+# Re-run on a quiet machine after intentional performance changes;
+# check.sh compares fresh runs against this file only on a host with the
+# same stamp, and fails there on >20% regressions.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -46,12 +48,14 @@ rm -f "${f4_json}"
   --walkers=8 \
   --json="${f4_json}"
 
-python3 - "$repo_root" "$micro_json" "$f4_json" "$cells" <<'PY'
+python3 - "$repo_root" "$micro_json" "$f4_json" "$cells" "$build_dir" <<'PY'
 import json
 import subprocess
 import sys
 
-repo_root, micro_path, f4_path, cells = sys.argv[1:5]
+repo_root, micro_path, f4_path, cells, build_dir = sys.argv[1:6]
+sys.path.insert(0, f"{repo_root}/scripts")
+from host_stamp import host_stamp
 
 with open(micro_path) as f:
     micro_raw = json.load(f)
@@ -79,28 +83,26 @@ with open(f4_path) as f:
             rows[row[0]] = dict(zip(cols[1:], row[1:]))
         f4[tag] = rows
 
+# "-dirty": measured from uncommitted changes on top of that commit.
 commit = subprocess.run(
-    ["git", "-C", repo_root, "rev-parse", "--short", "HEAD"],
+    ["git", "-C", repo_root, "describe", "--always", "--dirty", "--abbrev=7"],
     capture_output=True, text=True).stdout.strip() or "unknown"
 
 # Headline decode-plane numbers (Table F4d): per walker count W, the
-# plane-on proposal latency, fused-GEMM batching achieved, and the
-# packed-weight cache hit rate. Single-core caveat: with fewer cores
-# than walkers both modes contend for the same ALUs, so `speedup`
-# measures coalescing overhead/benefit at the ALU limit, not the
-# multi-core fused-GEMM win (see DESIGN.md "Cross-walker decode plane").
+# plane-on proposal latency, the fused-GEMM batching achieved, and the
+# plane-on/off throughput ratio (see DESIGN.md "Cross-walker decode
+# plane" for when the opt-in plane pays).
 decode_plane = {}
 for walkers, row in f4.get("_walkers", {}).items():
     decode_plane[f"W{walkers}"] = {  # table cells arrive as strings
         "us_per_proposal_on": round(float(row["us_per_prop_on"]), 2),
         "rows_per_gemm": round(float(row["rows_per_gemm"]), 2),
-        "pack_cache_hit_rate": round(float(row["pack_hit_rate"]), 4),
         "speedup_on_vs_off": round(float(row["speedup"]), 3),
     }
 
 out = {
-    "schema": 1,
-    "commit": commit,
+    "schema": 2,
+    "host": {**host_stamp(build_dir), "commit": commit},
     "cells": int(cells),
     "micro": dict(sorted(micro.items())),
     "decode_plane": decode_plane,

@@ -209,11 +209,14 @@ stage_coverage() {
 run_stage coverage stage_coverage
 
 # ---- Release perf smoke -------------------------------------------------
-# Guards the proposal fast path (ISSUE 4): re-times the headline micro
-# benchmarks in the Release tree and fails on a >20% CPU-time regression
-# against BENCH_baseline.json. Re-record the baseline on an intentional
-# perf change with scripts/bench_baseline.sh. Skip with
-# DT_SKIP_PERF_SMOKE=1 (e.g. on loaded CI machines).
+# Guards the proposal fast path: re-times the headline micro benchmarks
+# in the Release tree and fails on a >20% CPU-time regression against
+# BENCH_baseline.json. Timings only compare on the host that recorded
+# them: when the baseline's host stamp (core count, CPU model, compiler;
+# scripts/host_stamp.py) differs from this host, the stage prints
+# "host mismatch" and skips. Re-record the baseline on an intentional
+# perf change, or on a new host, with scripts/bench_baseline.sh. Skip
+# with DT_SKIP_PERF_SMOKE=1 (e.g. on loaded CI machines).
 
 stage_perf() {
   if [[ "${DT_SKIP_PERF_SMOKE:-0}" == "1" ]]; then
@@ -230,6 +233,12 @@ stage_perf() {
   local release_dir="${repo_root}/build"
   cmake -B "${release_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release \
     >/dev/null
+  if ! python3 "${repo_root}/scripts/host_stamp.py" "${release_dir}" \
+       "${baseline}"; then
+    echo "check.sh: perf smoke: host mismatch -- not comparing (re-record" \
+         "the baseline here with scripts/bench_baseline.sh)"
+    return 99
+  fi
   cmake --build "${release_dir}" -j "${jobs}" --target bench_micro
   local smoke_json="${release_dir}/bench_micro_smoke.json"
   "${release_dir}/bench/bench_micro" \

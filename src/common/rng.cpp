@@ -89,6 +89,21 @@ Philox4x32::result_type Philox4x32::operator()() {
   return buf_[buf_pos_++];
 }
 
+void Philox4x32::fill(std::span<result_type> out) {
+  std::size_t i = 0;
+  const std::size_t n = out.size();
+  while (i < n && buf_pos_ < 4) out[i++] = buf_[buf_pos_++];
+  for (; i + 4 <= n; i += 4) {
+    const auto b = block(counter_++, 0);
+    for (std::size_t j = 0; j < 4; ++j) out[i + j] = b[j];
+  }
+  if (i < n) {
+    buf_ = block(counter_++, 0);
+    buf_pos_ = 0;
+    while (i < n) out[i++] = buf_[buf_pos_++];
+  }
+}
+
 void Philox4x32::seek(std::uint64_t draw_index) {
   counter_ = draw_index / 4;
   buf_ = block(counter_, 0);

@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace dt {
 
@@ -86,6 +87,12 @@ class Philox4x32 {
 
   result_type operator()();
 
+  /// Fill `out` with the next out.size() draws: the same words, leaving
+  /// the same position(), as out.size() calls of operator()() from any
+  /// buffered offset. Whole blocks go straight into `out`, skipping the
+  /// per-draw buffer bookkeeping.
+  void fill(std::span<result_type> out);
+
   /// Position the counter at an absolute draw index (units of 32-bit draws).
   void seek(std::uint64_t draw_index);
 
@@ -114,15 +121,24 @@ class Philox4x32 {
   unsigned buf_pos_ = 4;            // 4 == empty
 };
 
-/// Uniform double in [0, 1) from any 64-bit URBG (53-bit mantissa path).
+/// Uniform double in [0, 1) from two consecutive 32-bit draws (53-bit
+/// mantissa path); lets callers that fill draws in bulk reproduce
+/// uniform01() on a 32-bit generator exactly.
+inline double uniform01(std::uint32_t hi, std::uint32_t lo) {
+  const std::uint64_t bits =
+      (static_cast<std::uint64_t>(hi) << 32) | static_cast<std::uint64_t>(lo);
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+/// Uniform double in [0, 1) from any URBG (53-bit mantissa path).
 template <class Gen>
 double uniform01(Gen& g) {
   if constexpr (sizeof(typename Gen::result_type) == 8) {
     return static_cast<double>(g() >> 11) * 0x1.0p-53;
   } else {
-    const auto hi = static_cast<std::uint64_t>(g());
-    const auto lo = static_cast<std::uint64_t>(g());
-    return static_cast<double>(((hi << 32) | lo) >> 11) * 0x1.0p-53;
+    const auto hi = static_cast<std::uint32_t>(g());
+    const auto lo = static_cast<std::uint32_t>(g());
+    return uniform01(hi, lo);
   }
 }
 

@@ -159,9 +159,6 @@ void DecodePlane::refresh_weights(std::istream& weights) {
   DT_CHECK_MSG(!serving_ && pending_ == 0,
                "refresh_weights() with requests pending or in flight -- "
                "quiesce the plane first (see header contract)");
-  // Vae::load writes through mutable data(), bumping every weight
-  // tensor's version counter: the Linear packed-weight cache invalidates
-  // with this same refresh, and the next served batch repacks.
   vae_->load(weights);
 }
 

@@ -41,9 +41,8 @@
 // Weight refresh contract: refresh_weights() may only run while no
 // request is pending or in flight. Framework order after a mid-run
 // ddp_fit: every rank cancels its prefetch + invalidates its decode
-// buffers, barrier, rank 0 refreshes the plane weights (bumping the
-// weight tensors' version counters, which invalidates the Linear
-// packed-weight cache), barrier, sampling resumes.
+// buffers, barrier, rank 0 refreshes the plane weights, barrier,
+// sampling resumes.
 #pragma once
 
 #include <array>

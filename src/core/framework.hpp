@@ -92,12 +92,16 @@ struct DeepThermoOptions {
   /// performance knob -- the proposal sequence is identical for any
   /// value (see core/vae_proposal.hpp, stream discipline).
   std::int32_t vae_decode_batch = 0;
-  /// Route every walker's decode-ahead refill through one shared
-  /// cross-walker decode plane (see core/decode_plane.hpp): refills
-  /// coalesce into fused multi-walker GEMMs against a packed-weight
-  /// cache, with double-buffered prefetch per walker. Pure performance
-  /// knob -- proposals are bitwise identical either way.
-  bool decode_plane = true;
+  /// Opt-in: route every walker's decode-ahead refill through one shared
+  /// cross-walker decode plane (see core/decode_plane.hpp), which fuses
+  /// the refills of all walkers into one GEMM with double-buffered
+  /// prefetch per walker. The fused GEMM runs on the leader walker's
+  /// thread while the others wait, so it pays only when that GEMM gets
+  /// an OpenMP team on otherwise idle cores. With one core per walker,
+  /// per-walker decode-ahead (the default) is faster end to end (see
+  /// DESIGN.md "Cross-walker decode plane"). Pure performance knob --
+  /// proposals are bitwise identical either way.
+  bool decode_plane = false;
   /// Max microseconds a plane leader waits for stragglers before serving
   /// a partial batch (see DecodePlane::Options::window_us).
   std::int64_t decode_plane_window_us = 200;

@@ -251,10 +251,15 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
   saved_.assign(occ.begin(), occ.end());
 
   // 3. Constrained sequential sampling of the candidate (n uniforms from
-  // the physics stream -- the ONLY draws this kernel takes from it).
+  // the physics stream -- the ONLY draws this kernel takes from it). All
+  // 2n words are filled in one batch; site i reads words 2i, 2i+1, the
+  // same draws uniform01(rng) would take one site at a time.
+  uniform_words_.resize(2 * n);
+  rng.fill(uniform_words_);
   remaining_.assign(s, 0.0);
   for (std::uint8_t sp : saved_) remaining_[sp] += 1.0;
 
+  std::size_t n_changed = 0;
   double log_q_fwd = 0.0;
   double log_q_rev = 0.0;
   double run_fwd = 1.0;  // product of ratios, flushed before underflow
@@ -277,7 +282,8 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
       const double w3 = static_cast<double>(block[3]) * rem_f[3];
       const double norm = (w0 + w1) + (w2 + w3);
       // norm > 0: probs are floored and sum(remaining) = n - i > 0.
-      const double u = uniform01(rng) * norm;
+      const double u =
+          uniform01(uniform_words_[2 * i], uniform_words_[2 * i + 1]) * norm;
       const double c1 = w0;
       const double c2 = w0 + w1;
       const double c3 = c2 + w2;
@@ -300,6 +306,7 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
 
       // Reverse: probability of re-drawing the saved species here.
       const auto a = static_cast<std::size_t>(saved_[i]);
+      n_changed += chosen != a ? 1u : 0u;
       const double norm_r = static_cast<double>(block[0]) * rem_r[0] +
                             static_cast<double>(block[1]) * rem_r[1] +
                             static_cast<double>(block[2]) * rem_r[2] +
@@ -319,7 +326,8 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
       for (std::size_t k = 0; k < s; ++k)
         norm += static_cast<double>(block[k]) * remaining_[k];
       // norm > 0: probabilities are floored and sum(remaining) = n - i > 0.
-      double u = uniform01(rng) * norm;
+      double u =
+          uniform01(uniform_words_[2 * i], uniform_words_[2 * i + 1]) * norm;
       std::size_t chosen = s - 1;
       for (std::size_t k = 0; k < s; ++k) {
         const double w = static_cast<double>(block[k]) * remaining_[k];
@@ -342,6 +350,7 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
         run_fwd = 1.0;
       }
       candidate_[i] = static_cast<std::uint8_t>(chosen);
+      n_changed += chosen != static_cast<std::size_t>(saved_[i]) ? 1u : 0u;
       remaining_[chosen] -= 1.0;
     }
     // 4. Reverse density of the current state under the same z (the
@@ -358,9 +367,6 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
   // recompute is cheaper once more than half the sites change, because
   // the sparse walk visits changed sites' bonds from both endpoints.
   const bool telem = obs::Telemetry::instance().enabled();
-  std::size_t n_changed = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    n_changed += candidate_[i] != saved_[i] ? 1u : 0u;
 
   double delta_energy;
   if (2 * n_changed <= n) {

@@ -228,6 +228,7 @@ class VaeProposal final : public mc::Proposal {
   std::uint64_t decode_waits_ = 0;
 
   // Hot-path scratch, hoisted out of propose().
+  std::vector<std::uint32_t> uniform_words_;  // 2n physics-stream draws
   std::vector<double> remaining_;     // species budget (n_species)
   std::vector<std::uint8_t> candidate_;
   lattice::DeltaWorkspace delta_ws_;

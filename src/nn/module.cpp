@@ -5,29 +5,9 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 
 namespace dt::nn {
-namespace {
-
-// Pack-cache effectiveness counters (unconditional: one relaxed add per
-// layer forward, negligible next to the GEMM; surfaced in /metrics and
-// the bench pack-cache hit rate).
-obs::Counter& pack_hits() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("nn.linear.pack.hits");
-  return c;
-}
-
-obs::Counter& pack_misses() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("nn.linear.pack.misses");
-  return c;
-}
-
-}  // namespace
-
 Linear::Linear(std::int64_t in_features, std::int64_t out_features,
                Xoshiro256ss& rng)
     : in_(in_features), out_(out_features) {
@@ -49,58 +29,15 @@ Tensor Linear::forward(const Tensor& x) {
                  "Linear::forward: bad input shape");
     const auto rows = static_cast<std::size_t>(x.shape()[0]);
     const auto cols = static_cast<std::size_t>(out_);
-    // Read-only parameter access must stay const: the mutable data()
-    // overload bumps the version counter and would thrash the cache.
-    const auto& bv = std::as_const(bias_).data();
+    const auto& bv = bias_.data();
     std::vector<float> out(rows * cols);
     for (std::size_t r = 0; r < rows; ++r)
       std::memcpy(&out[r * cols], bv.data(), cols * sizeof(float));
-    const std::uint64_t ver = weight_.version();
-    const tensor::PackedB* pb = packed_lookup(ver);
-    if (pb == nullptr) {
-      repack(ver);
-      pb = packed_lookup(ver);
-    }
-    if (pb != nullptr) {
-      tensor::gemm_nn_acc(rows, static_cast<std::size_t>(in_), cols,
-                          x.data().data(), *pb, out.data());
-    } else {
-      // Weights mutated while we packed; stream them unpacked this once.
-      tensor::gemm_nn_acc(rows, static_cast<std::size_t>(in_), cols,
-                          x.data().data(),
-                          std::as_const(weight_).data().data(), out.data());
-    }
+    tensor::gemm_nn_acc(rows, static_cast<std::size_t>(in_), cols,
+                        x.data().data(), weight_.data().data(), out.data());
     return Tensor::from_data({x.shape()[0], out_}, std::move(out));
   }
   return tensor::add_rowvec(tensor::matmul(x, weight_), bias_);
-}
-
-const tensor::PackedB* Linear::packed_lookup(
-    std::uint64_t weight_version) const {
-  if (packed_version_.load(std::memory_order_acquire) == weight_version) {
-    pack_hits().add(1);
-    return &packed_;
-  }
-  return nullptr;
-}
-
-void Linear::repack(std::uint64_t weight_version) {
-  MutexLock lock(pack_mutex_);
-  if (packed_version_.load(std::memory_order_acquire) == weight_version)
-    return;  // another thread packed this version while we waited
-  pack_misses().add(1);
-  // Invalidate before touching the panels so a concurrent lookup never
-  // matches a half-written pack; publish (release) only if the weights
-  // did not move while we packed. Mutating weights concurrently with
-  // inference forwards is outside the library's contract anyway (the
-  // decode plane quiesces all walkers around ddp_fit refreshes), so
-  // this is defence in depth, not a liveness guarantee.
-  packed_version_.store(kPackedNone, std::memory_order_release);
-  const auto& wv = std::as_const(weight_).data();
-  packed_ = tensor::pack_b(static_cast<std::size_t>(in_),
-                           static_cast<std::size_t>(out_), wv.data());
-  if (weight_.version() == weight_version)
-    packed_version_.store(weight_version, std::memory_order_release);
 }
 
 std::vector<Tensor> Linear::parameters() const { return {weight_, bias_}; }

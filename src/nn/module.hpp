@@ -5,13 +5,10 @@
 // Linear, pointwise activations and Sequential composition.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/mutex.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 
 namespace dt::nn {
@@ -43,27 +40,9 @@ class Linear final : public Module {
   [[nodiscard]] std::int64_t out_features() const { return out_; }
 
  private:
-  /// Version-keyed packed-weight cache (see DESIGN.md "Cross-walker
-  /// decode plane"). Lock-free hit path: returns the cached panels iff
-  /// they were packed from exactly `weight_version`, else nullptr.
-  /// Hotlisted (scripts/lint/hotlist.txt) -- no alloc, no lock.
-  [[nodiscard]] const tensor::PackedB* packed_lookup(
-      std::uint64_t weight_version) const;
-  /// Cold path: (re)pack the weight panels under pack_mutex_ and publish
-  /// them keyed on `weight_version`. The version is re-read after the
-  /// pack and the result published only if the weights did not move
-  /// underneath -- a concurrent mutation leaves the cache invalid
-  /// rather than torn.
-  void repack(std::uint64_t weight_version);
-
-  static constexpr std::uint64_t kPackedNone = ~std::uint64_t{0};
-
   std::int64_t in_, out_;
   Tensor weight_;  // (in, out)
   Tensor bias_;    // (out)
-  tensor::PackedB packed_;  // panels of weight_, valid iff version match
-  std::atomic<std::uint64_t> packed_version_{kPackedNone};
-  Mutex pack_mutex_;
 };
 
 enum class ActivationKind { kTanh, kRelu, kSigmoid };

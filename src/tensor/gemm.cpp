@@ -69,8 +69,6 @@ inline void micro_edge(std::size_t rows, std::size_t cols, std::size_t kb,
 void gemm_nn_impl(std::size_t m, std::size_t k, std::size_t n, const float* a,
                   const float* b, float* c, GemmMode mode) {
   const bool parallel = use_parallel(mode, 2 * m * k * n);
-  // Packing pays off only when several row tiles reuse the panel; for
-  // skinny A (the batch-1 decode GEMV) the extra copy would dominate.
   // Packing B costs one read + write + re-read of every panel; it pays
   // only when the panel is reused by many row tiles. Skinny products
   // (the decode-ahead batch: m = K) stream B directly instead.
@@ -113,75 +111,7 @@ void gemm_nn_impl(std::size_t m, std::size_t k, std::size_t n, const float* a,
   }
 }
 
-/// Packed-B product: identical blocking, micro kernels, and per-element
-/// accumulation order to gemm_nn_impl, but B panels come pre-packed
-/// (pack_b) instead of being copied or streamed strided -- so results
-/// are bitwise identical to the unpacked path while the hot loop does
-/// no packing work and no allocation at all (hotlisted, see
-/// scripts/lint/hotlist.txt).
-void gemm_nn_packed_impl(std::size_t m, std::size_t k, std::size_t n,
-                         const float* a, const float* panels, float* c,
-                         GemmMode mode) {
-  const bool parallel = use_parallel(mode, 2 * m * k * n);
-  const float* panel = panels;
-  for (std::size_t j0 = 0; j0 < n; j0 += kNc) {
-    const std::size_t nb = std::min(kNc, n - j0);
-    for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
-      const std::size_t kb = std::min(kKc, k - k0);
-      const float* bsrc = panel;
-      const std::size_t ldb = nb;
-      panel += kb * nb;
-      const auto row_tiles = static_cast<std::ptrdiff_t>((m + kMr - 1) / kMr);
-#pragma omp parallel for schedule(static) if (parallel)
-      for (std::ptrdiff_t ti = 0; ti < row_tiles; ++ti) {
-        const std::size_t i0 = static_cast<std::size_t>(ti) * kMr;
-        const std::size_t rows = std::min(kMr, m - i0);
-        const float* ablk = a + i0 * k + k0;
-        float* cblk = c + i0 * n + j0;
-        for (std::size_t jj = 0; jj < nb; jj += kNr) {
-          const std::size_t cols = std::min(kNr, nb - jj);
-          if (rows == kMr && cols == kNr)
-            micro_4x32(kb, ablk, k, bsrc + jj, ldb, cblk + jj, n);
-          else
-            micro_edge(rows, cols, kb, ablk, k, bsrc + jj, ldb, cblk + jj, n);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
-
-PackedB pack_b(std::size_t k, std::size_t n, const float* b) {
-  PackedB packed;
-  packed.k_ = k;
-  packed.n_ = n;
-  packed.panels_.resize(k * n);
-  float* dst = packed.panels_.data();
-  // Panel order mirrors the gemm_nn_impl block loops exactly.
-  for (std::size_t j0 = 0; j0 < n; j0 += kNc) {
-    const std::size_t nb = std::min(kNc, n - j0);
-    for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
-      const std::size_t kb = std::min(kKc, k - k0);
-      for (std::size_t kk = 0; kk < kb; ++kk)
-        std::memcpy(dst + kk * nb, b + (k0 + kk) * n + j0,
-                    nb * sizeof(float));
-      dst += kb * nb;
-    }
-  }
-  return packed;
-}
-
-void gemm_nn(std::size_t m, std::size_t k, std::size_t n, const float* a,
-             const PackedB& b, float* c, GemmMode mode) {
-  std::fill(c, c + m * n, 0.0f);
-  gemm_nn_packed_impl(m, k, n, a, b.panels(), c, mode);
-}
-
-void gemm_nn_acc(std::size_t m, std::size_t k, std::size_t n, const float* a,
-                 const PackedB& b, float* c, GemmMode mode) {
-  gemm_nn_packed_impl(m, k, n, a, b.panels(), c, mode);
-}
 
 void gemm_nn(std::size_t m, std::size_t k, std::size_t n, const float* a,
              const float* b, float* c, GemmMode mode) {

@@ -23,8 +23,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace dt::tensor {
 
@@ -46,47 +44,6 @@ void gemm_nn(std::size_t m, std::size_t k, std::size_t n, const float* a,
 /// pre-fill C with the bias instead of paying a separate add pass.
 void gemm_nn_acc(std::size_t m, std::size_t k, std::size_t n, const float* a,
                  const float* b, float* c, GemmMode mode = GemmMode::kAuto);
-
-/// Pre-packed B operand for gemm_nn/gemm_nn_acc.
-///
-/// Panels are stored in exactly the order the unpacked kernel visits
-/// them -- outer loop over column blocks (j0, width kNc), inner loop
-/// over depth blocks (k0, depth kKc), each panel kb x nb row-major with
-/// leading dimension nb -- so streaming a PackedB feeds the micro
-/// kernels the same values in the same order as streaming B directly:
-/// packed and unpacked products are bitwise identical. A PackedB is
-/// immutable after pack_b(); concurrent readers need no synchronisation.
-///
-/// The nn-layer cache (Linear) keys a PackedB on the weight tensor's
-/// version counter so decoder panels are packed once per weight version
-/// (see DESIGN.md "Cross-walker decode plane").
-class PackedB {
- public:
-  PackedB() = default;
-  [[nodiscard]] bool valid() const { return k_ > 0 && n_ > 0; }
-  [[nodiscard]] std::size_t k() const { return k_; }
-  [[nodiscard]] std::size_t n() const { return n_; }
-  /// Contiguous panel storage (panel-major; see class comment).
-  [[nodiscard]] const float* panels() const { return panels_.data(); }
-
- private:
-  friend PackedB pack_b(std::size_t k, std::size_t n, const float* b);
-  std::size_t k_ = 0;
-  std::size_t n_ = 0;
-  std::vector<float> panels_;
-};
-
-/// Pack B(k,n) row-major into cache-block panels (see PackedB).
-[[nodiscard]] PackedB pack_b(std::size_t k, std::size_t n, const float* b);
-
-/// C(m,n) = A(m,k) . B(k,n) over a pre-packed B. Bitwise identical to
-/// the unpacked overload for any m, thread count, and GemmMode.
-void gemm_nn(std::size_t m, std::size_t k, std::size_t n, const float* a,
-             const PackedB& b, float* c, GemmMode mode = GemmMode::kAuto);
-
-/// C(m,n) += A(m,k) . B(k,n) over a pre-packed B.
-void gemm_nn_acc(std::size_t m, std::size_t k, std::size_t n, const float* a,
-                 const PackedB& b, float* c, GemmMode mode = GemmMode::kAuto);
 
 /// C(m,n) += A(m,t) . B(n,t)^T, i.e. C[i][j] += sum_t A[i][t] * B[j][t].
 void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t t, const float* a,

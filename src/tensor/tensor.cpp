@@ -135,18 +135,12 @@ std::int64_t Tensor::dim(std::size_t axis) const {
 
 std::vector<float>& Tensor::data() {
   DT_CHECK(node_);
-  node_->version.fetch_add(1, std::memory_order_relaxed);
   return node_->value;
 }
 
 const std::vector<float>& Tensor::data() const {
   DT_CHECK(node_);
   return node_->value;
-}
-
-std::uint64_t Tensor::version() const {
-  DT_CHECK(node_);
-  return node_->version.load(std::memory_order_relaxed);
 }
 
 std::vector<float>& Tensor::grad() {

@@ -14,7 +14,6 @@
 // because optimizers only touch value/grad buffers.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,12 +40,6 @@ struct Node {
   // Accumulates d(loss)/d(parent) into each parent's grad, given this
   // node's grad. Empty for leaves.
   std::function<void(Node&)> backward;
-  // Mutation counter: bumped on every mutable data() access (optimizer
-  // steps, Vae::load, test pokes). Caches keyed on it -- the Linear
-  // packed-weight cache feeding the decode plane -- repack exactly once
-  // per weight version. Relaxed atomic: the counter orders nothing by
-  // itself; cache publication adds its own acquire/release.
-  std::atomic<std::uint64_t> version{0};
 
   void ensure_grad();
 };
@@ -92,14 +85,8 @@ class Tensor {
   [[nodiscard]] std::int64_t numel() const;
   [[nodiscard]] std::int64_t dim(std::size_t axis) const;
 
-  /// Mutable access: bumps the tensor's version counter (see
-  /// detail::Node::version). Read-only callers on hot paths should go
-  /// through the const overload (std::as_const) so version-keyed caches
-  /// stay warm.
   [[nodiscard]] std::vector<float>& data();
   [[nodiscard]] const std::vector<float>& data() const;
-  /// Current mutation count of the underlying buffer.
-  [[nodiscard]] std::uint64_t version() const;
   [[nodiscard]] std::vector<float>& grad();
   [[nodiscard]] const std::vector<float>& grad() const;
   [[nodiscard]] bool requires_grad() const;

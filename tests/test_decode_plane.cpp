@@ -1,10 +1,10 @@
 // Cross-walker decode plane: the batched serve path must be bitwise
 // identical to per-walker decoding for any walker count, decode batch
 // size, batch composition, and thread interleaving; weight refreshes
-// must invalidate the packed-weight cache and the walkers' decode
-// buffers together; and checkpoint/resume must stay bit-exact through
-// the plane. The concurrent tests double as the TSan workload for the
-// plane's queue protocol (scripts/check.sh, tsan stage).
+// must invalidate the walkers' decode buffers; and checkpoint/resume
+// must stay bit-exact through the plane. The concurrent tests double as
+// the TSan workload for the plane's queue protocol (scripts/check.sh,
+// tsan stage).
 #include "core/decode_plane.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/vae_proposal.hpp"
-#include "obs/metrics.hpp"
 
 namespace dt::core {
 namespace {
@@ -176,7 +175,7 @@ TEST(DecodePlane, ConcurrentWalkersStayBitwiseEqual) {
   EXPECT_EQ(plane->attached(), 0);
 }
 
-TEST(DecodePlane, WeightRefreshInvalidatesPackAndBuffersTogether) {
+TEST(DecodePlane, WeightRefreshInvalidatesBuffers) {
   const auto lat = Lattice::create(LatticeType::kBCC, 2, 2, 2, 1);
   const auto ham = lattice::random_epi(4, 1, 0.1, 33);
   constexpr int kHead = 6, kTail = 10;
@@ -206,9 +205,7 @@ TEST(DecodePlane, WeightRefreshInvalidatesPackAndBuffersTogether) {
 
   // Plane walker: same refresh through the framework's protocol --
   // invalidate (cancels the prefetch), refresh the plane replica, reload
-  // the walker replica, continue. Tensor version bumps from load() must
-  // invalidate the Linear packed-weight cache: the post-refresh decode
-  // repacks (pack.misses grows) instead of reusing stale panels.
+  // the walker replica, continue.
   auto vae_walker = make_vae(lat.num_sites(), 4, 77);
   auto vae_plane = make_vae(lat.num_sites(), 4, 77);
   auto plane = std::make_shared<DecodePlane>(vae_plane);
@@ -219,10 +216,6 @@ TEST(DecodePlane, WeightRefreshInvalidatesPackAndBuffersTogether) {
     mc::Rng rng(11, 0);
     auto cfg = lattice::random_configuration(lat, 4, rng);
     (void)run_trajectory(prop, ham, kHead, rng, cfg);
-
-    auto& misses = obs::MetricsRegistry::global().counter(
-        "nn.linear.pack.misses");
-    const std::uint64_t misses_before = misses.value();
 
     prop.invalidate_decode_cache();
     {
@@ -238,8 +231,6 @@ TEST(DecodePlane, WeightRefreshInvalidatesPackAndBuffersTogether) {
 
     const auto got = run_trajectory(prop, ham, kTail, rng, cfg);
     EXPECT_EQ(got, want);
-    EXPECT_GT(misses.value(), misses_before)
-        << "weight refresh must repack the decoder panels";
   }
 }
 

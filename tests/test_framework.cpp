@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "ckpt/checkpoint.hpp"
 #include "common/error.hpp"
 #include "common/math.hpp"
 
@@ -170,6 +175,85 @@ TEST(Framework, MismatchedSpeciesCountThrows) {
   auto opts = tiny_options();
   opts.n_species = 3;  // Hamiltonian below has 2
   EXPECT_THROW((void)Framework(opts, lattice::epi_ising(1.0)), dt::Error);
+}
+
+constexpr int kKeepAllCheckpoints = 1000;
+
+/// Every checkpoint generation a run left behind, component by component
+/// and oldest first. rewl.result is left out because it records the REWL
+/// wall time; its physics (ln g, sweeps, walker energies) is compared
+/// through the run result instead.
+std::vector<std::map<std::string, std::string>> checkpoint_components(
+    const std::string& dir) {
+  const ckpt::CheckpointStore store(dir, kKeepAllCheckpoints);
+  std::vector<std::map<std::string, std::string>> gens;
+  for (const std::uint64_t g : store.generations()) {
+    const auto ck = store.load_generation(g);
+    EXPECT_TRUE(ck.has_value()) << "generation " << g;
+    if (!ck.has_value()) continue;
+    auto& components = gens.emplace_back();
+    for (const auto& name : ck->names())
+      if (name != "rewl.result") components[name] = ck->blob(name);
+  }
+  return gens;
+}
+
+// The opt-in decode plane must not change the run: a 54-atom mixed-kernel
+// run that retrains the VAE every round (so the plane's serving replica
+// is refreshed under barriers after every ddp_fit) and checkpoints along
+// the way is bit-identical with the plane on and off.
+TEST(Framework, DecodePlaneOnOffRunsAreBitIdentical) {
+  auto opts = tiny_options();
+  opts.lattice.nx = opts.lattice.ny = opts.lattice.nz = 3;  // 54 atoms
+  opts.global_fraction = 0.2;
+  opts.vae_decode_batch = 4;
+  opts.retrain_every_rounds = 1;
+  opts.rewl.wl.log_f_final = 1e-2;
+  opts.rewl.exchange_interval = 50;
+  opts.rewl.progress_interval_seconds = 1e9;
+  opts.checkpoint_interval_rounds = 5;
+  opts.checkpoint_min_interval_seconds = 0.0;  // saves at fixed rounds
+  opts.checkpoint_keep = kKeepAllCheckpoints;
+
+  struct Run {
+    DeepThermoResult result;
+    std::vector<std::map<std::string, std::string>> checkpoints;
+  };
+  const auto run = [&](bool plane) {
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     (plane ? "fw_plane_on" : "fw_plane_off");
+    std::filesystem::remove_all(dir);
+    auto o = opts;
+    o.decode_plane = plane;
+    o.checkpoint_dir = dir.string();
+    auto fw = Framework::nbmotaw(o);
+    Run r{fw.run(), checkpoint_components(dir.string())};
+    std::filesystem::remove_all(dir);
+    return r;
+  };
+  const Run off = run(false);
+  const Run on = run(true);
+
+  ASSERT_TRUE(off.result.rewl.converged);
+  EXPECT_GT(off.result.vae_stats.proposed, 0u);
+  EXPECT_EQ(on.result.rewl.total_sweeps, off.result.rewl.total_sweeps);
+  EXPECT_EQ(on.result.rewl.walker_energies, off.result.rewl.walker_energies);
+  const auto& dos_on = on.result.rewl.dos;
+  const auto& dos_off = off.result.rewl.dos;
+  ASSERT_EQ(dos_on.grid(), dos_off.grid());
+  for (std::int32_t b = 0; b < dos_off.grid().n_bins(); ++b) {
+    ASSERT_EQ(dos_on.visited(b), dos_off.visited(b)) << "bin " << b;
+    if (dos_off.visited(b)) {
+      EXPECT_EQ(dos_on.log_g(b).value(), dos_off.log_g(b).value())
+          << "bin " << b;
+    }
+  }
+  EXPECT_TRUE(on.result.final_vae_weights == off.result.final_vae_weights);
+  ASSERT_GT(off.checkpoints.size(), 1u);
+  ASSERT_EQ(on.checkpoints.size(), off.checkpoints.size());
+  for (std::size_t g = 0; g < off.checkpoints.size(); ++g)
+    EXPECT_TRUE(on.checkpoints[g] == off.checkpoints[g])
+        << "checkpoint generation " << g + 1 << " differs";
 }
 
 }  // namespace

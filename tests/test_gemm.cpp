@@ -178,61 +178,27 @@ TEST(GemmMode, ParallelIsBitwiseEqualToSerial) {
   EXPECT_EQ(accb_s, accb_p);
 }
 
-// Packing is a pure layout change: the packed overloads must be bitwise
-// equal to streaming B directly, for every shape (degenerate, sub-tile,
-// off-block) and in both overwrite and accumulate semantics. The
-// decode-plane determinism contract (batched rows == per-walker rows)
-// rests on this.
-TEST(GemmPackedB, BitwiseEqualToUnpackedAcrossShapes) {
-  std::uint64_t salt = 0;
-  for (const Shape& s : kShapes) {
-    const auto a = random_matrix(s.m, s.k, 300 + salt);
-    const auto b = random_matrix(s.k, s.n, 400 + salt);
-    ++salt;
-    const auto sk = static_cast<std::size_t>(s.k);
-    const auto sn = static_cast<std::size_t>(s.n);
-    const auto sm = static_cast<std::size_t>(s.m);
-    const PackedB packed = pack_b(sk, sn, b.data());
-    ASSERT_TRUE(packed.valid());
-    EXPECT_EQ(packed.k(), sk);
-    EXPECT_EQ(packed.n(), sn);
-
-    std::vector<float> plain(sm * sn, 3.0F);
-    std::vector<float> via_pack(sm * sn, -9.0F);
-    gemm_nn(sm, sk, sn, a.data(), b.data(), plain.data());
-    gemm_nn(sm, sk, sn, a.data(), packed, via_pack.data());
-    EXPECT_EQ(plain, via_pack) << "m=" << s.m << " k=" << s.k
-                               << " n=" << s.n;
-
-    const auto bias = random_matrix(s.m, s.n, 500 + salt);
-    std::vector<float> acc_plain = bias;
-    std::vector<float> acc_pack = bias;
-    gemm_nn_acc(sm, sk, sn, a.data(), b.data(), acc_plain.data());
-    gemm_nn_acc(sm, sk, sn, a.data(), packed, acc_pack.data());
-    EXPECT_EQ(acc_plain, acc_pack)
-        << "acc m=" << s.m << " k=" << s.k << " n=" << s.n;
-  }
-}
-
-// The batched decode GEMM varies only m across calls; a single PackedB
-// reused at every row count must reproduce the per-row product exactly.
-TEST(GemmPackedB, ReusedAcrossRowCountsMatchesRowAtATime) {
+// The decode plane fuses several walkers' rows into one GEMM whose row
+// count varies from call to call; every batched row must reproduce the
+// row decoded alone (m = 1) exactly, including above the row count
+// where gemm_nn starts packing B panels internally.
+TEST(GemmNN, BatchedRowsMatchRowAtATime) {
   const std::size_t k = 72, n = 260;  // decoder-ish: latent+cond -> hidden
+  constexpr std::size_t kRows = 40;
   const auto b = random_matrix(static_cast<std::int64_t>(k),
                                static_cast<std::int64_t>(n), 77);
-  const PackedB packed = pack_b(k, n, b.data());
-  const auto a = random_matrix(16, static_cast<std::int64_t>(k), 78);
+  const auto a = random_matrix(static_cast<std::int64_t>(kRows),
+                               static_cast<std::int64_t>(k), 78);
 
-  // Reference: each row decoded alone (m = 1), as a plane-less walker
-  // would.
-  std::vector<float> row_at_a_time(16 * n);
-  for (std::size_t r = 0; r < 16; ++r)
-    gemm_nn(1, k, n, a.data() + r * k, packed, row_at_a_time.data() + r * n);
+  std::vector<float> row_at_a_time(kRows * n);
+  for (std::size_t r = 0; r < kRows; ++r)
+    gemm_nn(1, k, n, a.data() + r * k, b.data(),
+            row_at_a_time.data() + r * n);
 
   for (const std::size_t m : {std::size_t{1}, std::size_t{3},
-                              std::size_t{8}, std::size_t{16}}) {
+                              std::size_t{8}, std::size_t{16}, kRows}) {
     std::vector<float> batched(m * n, -1.0F);
-    gemm_nn(m, k, n, a.data(), packed, batched.data());
+    gemm_nn(m, k, n, a.data(), b.data(), batched.data());
     for (std::size_t i = 0; i < m * n; ++i)
       ASSERT_EQ(batched[i], row_at_a_time[i]) << "m=" << m << " flat " << i;
   }

@@ -63,6 +63,52 @@ TEST(Philox, SeekMatchesSequentialDraws) {
   }
 }
 
+// fill() must be indistinguishable from the same number of operator()
+// calls: same words, same position(), and the same draws afterwards --
+// from every offset inside a buffered block, whether that offset was
+// reached by drawing from a fresh generator or by seek().
+TEST(Philox, FillMatchesSequentialDraws) {
+  const std::vector<std::size_t> lengths = {0, 1, 2, 3, 4,   5,
+                                            6, 7, 8, 9, 4000};
+  for (const bool seeked : {false, true}) {
+    for (std::uint64_t offset = 0; offset < 4; ++offset) {
+      for (const std::size_t len : lengths) {
+        Philox4x32 ref(9, 3);
+        Philox4x32 got(9, 3);
+        if (seeked) {
+          ref.seek(8 + offset);
+          got.seek(8 + offset);
+        } else {
+          for (std::uint64_t i = 0; i < offset; ++i) {
+            (void)ref();
+            (void)got();
+          }
+        }
+        std::vector<std::uint32_t> want(len);
+        for (auto& v : want) v = ref();
+        std::vector<std::uint32_t> words(len);
+        got.fill(words);
+        SCOPED_TRACE(::testing::Message() << "seeked=" << seeked
+                                          << " offset=" << offset
+                                          << " len=" << len);
+        EXPECT_EQ(words, want);
+        EXPECT_EQ(got.position(), ref.position());
+        for (int i = 0; i < 5; ++i) EXPECT_EQ(got(), ref());
+      }
+    }
+  }
+}
+
+TEST(Uniform01, FromWordsMatchesGenerator) {
+  Philox4x32 g(4, 1);
+  Philox4x32 words(4, 1);
+  for (int i = 0; i < 100; ++i) {
+    const std::uint32_t hi = words();
+    const std::uint32_t lo = words();
+    EXPECT_EQ(uniform01(hi, lo), uniform01(g));
+  }
+}
+
 TEST(Philox, BlockIsPureFunction) {
   const Philox4x32 g(5, 6);
   EXPECT_EQ(g.block(100, 0), g.block(100, 0));

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <functional>
-#include <utility>
 
 #include "common/error.hpp"
 
@@ -44,35 +43,6 @@ TEST(Tensor, RandnMoments) {
 TEST(Tensor, ItemRequiresScalar) {
   EXPECT_THROW((void)Tensor::zeros({2}).item(), dt::Error);
   EXPECT_EQ(Tensor::full({1}, 3.0f).item(), 3.0f);
-}
-
-TEST(Tensor, VersionBumpsOnMutableDataOnly) {
-  // The packed-weight cache (Linear) keys on this counter: every
-  // mutable data() access must bump it, const reads must not -- a
-  // missed bump would serve stale packed panels after a weight update.
-  auto t = Tensor::zeros({2, 2});
-  const auto v0 = t.version();
-
-  (void)std::as_const(t).data();  // const read: no bump
-  EXPECT_EQ(t.version(), v0);
-
-  t.data()[0] = 1.0f;  // mutable access: bump
-  const auto v1 = t.version();
-  EXPECT_GT(v1, v0);
-
-  (void)std::as_const(t).data();
-  EXPECT_EQ(t.version(), v1);
-
-  (void)t.data();  // even an unused mutable borrow must bump
-  EXPECT_GT(t.version(), v1);
-
-  // Copies share the node, so they share the counter -- the cache sees
-  // mutations through any alias.
-  auto alias = t;
-  const auto v2 = t.version();
-  alias.data()[1] = 2.0f;
-  EXPECT_GT(t.version(), v2);
-  EXPECT_EQ(t.version(), alias.version());
 }
 
 TEST(Ops, ElementwiseForward) {
