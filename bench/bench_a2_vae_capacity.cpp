@@ -16,9 +16,9 @@ int main(int argc, char** argv) {
   base_opts.lattice.nx = base_opts.lattice.ny = base_opts.lattice.nz =
       static_cast<int>(cfg.get_int("cells", 2));
   base_opts.n_bins = static_cast<std::int32_t>(cfg.get_int("bins", 60));
-  bench::print_run_header("A2: VAE capacity ablation", base_opts);
-
   const auto budget = cfg.get_int("budget_sweeps", 3000);
+  cfg.require_all_read();
+  bench::print_run_header("A2: VAE capacity ablation", base_opts);
 
   struct Geometry {
     std::int64_t hidden;

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   opts.lattice.nx = opts.lattice.ny = opts.lattice.nz =
       static_cast<int>(cfg.get_int("cells", 2));
   opts.n_bins = static_cast<std::int32_t>(cfg.get_int("bins", 60));
+  cfg.require_all_read();
   bench::print_run_header("A3: conditional-VAE ablation", opts);
 
   Table table({"pipeline", "converged", "total_sweeps", "sample_s",

@@ -20,6 +20,11 @@ int main(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
+  const auto n_temps = static_cast<int>(cfg.get_int("pt_temps", 10));
+  const double t_lo = cfg.get_double("pt_t_lo", 0.02);
+  const double t_hi = cfg.get_double("pt_t_hi", 0.6);
+  const auto pt_sweeps = cfg.get_int("pt_sweeps", 4000);
+  cfg.require_all_read();
   bench::print_run_header("B1: PT+WHAM baseline vs DeepThermo", opts);
 
   // ---- DeepThermo pipeline ----
@@ -29,11 +34,6 @@ int main(int argc, char** argv) {
   const double wl_seconds = wl_clock.seconds();
 
   // ---- PT + WHAM baseline on the same grid ----
-  const auto n_temps = static_cast<int>(cfg.get_int("pt_temps", 10));
-  const double t_lo = cfg.get_double("pt_t_lo", 0.02);
-  const double t_hi = cfg.get_double("pt_t_hi", 0.6);
-  const auto pt_sweeps = cfg.get_int("pt_sweeps", 4000);
-
   mc::ParallelTemperingOptions pt_opts;
   pt_opts.temperatures = mc::geometric_ladder(t_lo, t_hi, n_temps);
   pt_opts.exchange_interval = 10;

@@ -33,13 +33,17 @@ inline const Stopwatch& bench_clock() {
 /// Parse the common command line: --cells, --bins, --seed, --csv,
 /// --json (machine-readable per-bench summaries), --telemetry (JSONL or
 /// CSV runtime telemetry, see src/obs), plus whatever bench-specific
-/// keys the caller reads from the result.
+/// keys the caller reads from the result. Once it has read them all,
+/// the caller calls cfg.require_all_read(), so a mistyped flag fails.
 inline Config parse_args(int argc, char** argv) {
   (void)bench_clock();  // start the wall clock at entry
   Config cfg;
   cfg.update_from_args(argc, argv);
   const std::string telemetry = cfg.get_string("telemetry", "");
   if (!telemetry.empty()) obs::Telemetry::instance().enable(telemetry);
+  // emit() reads these later; count them as known now.
+  (void)cfg.get_string("json", "");
+  (void)cfg.get_string("csv", "");
   return cfg;
 }
 
@@ -65,47 +69,17 @@ inline std::string ckpt_metrics_json() {
 }
 
 /// Sampling-health digest from the live HealthRegistry (empty registry
-/// when the bench ran no REWL): per-walker flatness / round trips /
-/// proposal split plus the exchange-acceptance EWMAs, serialised into
-/// every --json line next to the checkpoint counters.
+/// when the bench ran no REWL): the same walker and exchange-pair arrays
+/// GET /status serves, serialised into every --json line next to the
+/// checkpoint counters.
 inline std::string health_metrics_json() {
   const obs::HealthSnapshot snap = obs::HealthRegistry::global().snapshot();
-  std::string walkers = "[";
-  for (std::size_t i = 0; i < snap.walkers.size(); ++i) {
-    const auto& w = snap.walkers[i];
-    if (i > 0) walkers += ',';
-    JsonWriter jw;
-    jw.field("rank", static_cast<std::int64_t>(w.rank))
-        .field("window", static_cast<std::int64_t>(w.window))
-        .field("flatness", w.flatness)
-        .field("f_stage", static_cast<std::int64_t>(w.f_stage))
-        .field("round_trips", static_cast<std::int64_t>(w.round_trips))
-        .field("round_trip_mean_s", w.round_trip_mean_s)
-        .field("local_acceptance", w.local_acceptance)
-        .field("vae_acceptance", w.vae_acceptance)
-        .field("converged", w.converged)
-        .field("stalled", w.stalled);
-    walkers += jw.str();
-  }
-  walkers += ']';
-  std::string pairs = "[";
-  for (std::size_t i = 0; i < snap.pairs.size(); ++i) {
-    const auto& p = snap.pairs[i];
-    if (i > 0) pairs += ',';
-    JsonWriter jp;
-    jp.field("pair", static_cast<std::int64_t>(i))
-        .field("attempted", static_cast<std::int64_t>(p.attempted))
-        .field("accepted", static_cast<std::int64_t>(p.accepted))
-        .field("ewma", p.ewma < 0.0 ? 0.0 : p.ewma);
-    pairs += jp.str();
-  }
-  pairs += ']';
   JsonWriter health;
   health.field("phase", snap.phase)
       .field("stalled_walkers",
              static_cast<std::int64_t>(snap.stalled_walkers))
-      .raw("walkers", walkers)
-      .raw("exchange_pairs", pairs);
+      .raw("walkers", obs::walkers_json(snap))
+      .raw("exchange_pairs", obs::exchange_pairs_json(snap));
   return health.str();
 }
 

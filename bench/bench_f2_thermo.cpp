@@ -15,15 +15,16 @@ int main(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
+  const double t_lo = cfg.get_double("t_lo", 0.005);
+  const double t_hi = cfg.get_double("t_hi", 0.40);
+  const auto n_t = static_cast<std::size_t>(cfg.get_int("t_points", 48));
+  cfg.require_all_read();
   bench::print_run_header("F2: thermodynamics U/F/S/Cv vs T", opts);
 
   auto fw = core::Framework::nbmotaw(opts);
   const auto result = fw.run();
   const double n_atoms = fw.lattice_ref().num_sites();
 
-  const double t_lo = cfg.get_double("t_lo", 0.005);
-  const double t_hi = cfg.get_double("t_hi", 0.40);
-  const auto n_t = static_cast<std::size_t>(cfg.get_int("t_points", 48));
   const auto scan = core::Framework::scan(result, t_lo, t_hi, n_t);
 
   Table table({"T_eV", "U_per_atom", "F_per_atom", "S_per_atom",

@@ -19,18 +19,18 @@ int main(int argc, char** argv) {
   auto opts = bench::bench_options(cfg);
   opts.lattice.nx = opts.lattice.ny = opts.lattice.nz =
       static_cast<int>(cfg.get_int("cells", 4));
-  bench::print_run_header("F3: Warren-Cowley SRO vs temperature", opts);
-
-  auto fw = core::Framework::nbmotaw(opts);
-  const auto& ham = fw.hamiltonian();
-  const auto& lat = fw.lattice_ref();
-
   const double t_hi = cfg.get_double("t_hi", 0.40);
   const double t_lo = cfg.get_double("t_lo", 0.01);
   const auto n_t = static_cast<int>(cfg.get_int("t_points", 14));
   const auto equil = cfg.get_int("equil_sweeps", 300);
   const auto n_samples = static_cast<int>(cfg.get_int("samples", 40));
   const auto gap = cfg.get_int("sample_gap", 10);
+  cfg.require_all_read();
+  bench::print_run_header("F3: Warren-Cowley SRO vs temperature", opts);
+
+  auto fw = core::Framework::nbmotaw(opts);
+  const auto& ham = fw.hamiltonian();
+  const auto& lat = fw.lattice_ref();
 
   mc::Rng init_rng(opts.seed, stream_id(0xF3, 0));
   auto config = lattice::random_configuration(lat, 4, init_rng);

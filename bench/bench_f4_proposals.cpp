@@ -19,6 +19,12 @@ int main(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
+  const auto budget = cfg.get_int("budget_sweeps", 4000);
+  const auto throughput_props = cfg.get_int("throughput_props", 2000);
+  const auto max_w = static_cast<int>(cfg.get_int("walkers", 1));
+  const auto walker_props = cfg.get_int("walker_props", 600);
+  const auto delta_reps = cfg.get_int("delta_reps", 5000);
+  cfg.require_all_read();
   bench::print_run_header("F4: proposal kernels compared", opts);
 
   auto fw = core::Framework::nbmotaw(opts);
@@ -27,7 +33,6 @@ int main(int argc, char** argv) {
   fw.pretrain();
   std::cout << " done (" << pre_clock.seconds() << "s)\n\n";
 
-  const auto budget = cfg.get_int("budget_sweeps", 4000);
   const auto& ham = fw.hamiltonian();
   const auto& lat = fw.lattice_ref();
   const mc::EnergyGrid grid = fw.grid();
@@ -74,20 +79,19 @@ int main(int argc, char** argv) {
   // second for the local kernel and the VAE kernel at decode batch
   // K = 1 (pre-fast-path behaviour) and the default K.
   {
-    const auto reps = cfg.get_int("throughput_props", 2000);
     Table tput({"kernel", "props_per_sec", "us_per_prop"});
     auto time_kernel = [&](const std::string& name, mc::Proposal& kernel) {
       mc::Rng rng(opts.seed, stream_id(0xF4, 2));
       auto config = lattice::random_configuration(lat, 4, rng);
       double e = ham.total_energy(config);
       Stopwatch clock;
-      for (std::int64_t i = 0; i < reps; ++i) {
+      for (std::int64_t i = 0; i < throughput_props; ++i) {
         const auto r = kernel.propose(config, units::Energy(e), rng);
         e += r.delta_energy.value();
       }
       const double secs = clock.seconds();
-      tput.add(name, static_cast<double>(reps) / secs,
-               1e6 * secs / static_cast<double>(reps));
+      tput.add(name, static_cast<double>(throughput_props) / secs,
+               1e6 * secs / static_cast<double>(throughput_props));
     };
     mc::LocalSwapProposal local(ham);
     time_kernel("local-swap", local);
@@ -108,8 +112,6 @@ int main(int argc, char** argv) {
   // per walker. Proposal sequences are bitwise identical either way
   // (pinned in test_decode_plane); this table measures only wall clock.
   {
-    const auto max_w = static_cast<int>(cfg.get_int("walkers", 1));
-    const auto reps = cfg.get_int("walker_props", 600);
     std::vector<int> widths;
     for (const int w : {1, 4, 8, max_w})
       if (w <= max_w && (widths.empty() || widths.back() < w))
@@ -141,7 +143,7 @@ int main(int argc, char** argv) {
             ready.fetch_add(1, std::memory_order_release);
             while (!go.load(std::memory_order_acquire)) {
             }
-            for (std::int64_t i = 0; i < reps; ++i) {
+            for (std::int64_t i = 0; i < walker_props; ++i) {
               const auto r = kernel.propose(config, units::Energy(e), rng);
               e += r.delta_energy.value();
             }
@@ -156,7 +158,7 @@ int main(int argc, char** argv) {
         for (auto& t : walkers) t.join();
         const double secs = clock.seconds();
         pps[plane_on ? 1 : 0] =
-            static_cast<double>(n_walkers) * static_cast<double>(reps) /
+            static_cast<double>(n_walkers) * static_cast<double>(walker_props) /
             secs;
         if (plane_on) {
           const auto st = plane->stats();
@@ -182,7 +184,6 @@ int main(int argc, char** argv) {
 
   // ---- sparse delta vs full recompute for whole-config assignment ----
   {
-    const auto reps = cfg.get_int("delta_reps", 5000);
     const auto n = static_cast<std::uint64_t>(lat.num_sites());
     mc::Rng rng(opts.seed, stream_id(0xF4, 3));
     auto config = lattice::random_configuration(lat, 4, rng);
@@ -199,18 +200,18 @@ int main(int argc, char** argv) {
       std::int32_t changed = 0;
       double sink = 0.0;
       Stopwatch sparse_clock;
-      for (std::int64_t i = 0; i < reps; ++i) {
+      for (std::int64_t i = 0; i < delta_reps; ++i) {
         const auto d = ham.assign_delta(config, candidate, ws);
         sink += d.delta_energy;
         changed = d.n_changed;
       }
       const double sparse_us =
-          1e6 * sparse_clock.seconds() / static_cast<double>(reps);
+          1e6 * sparse_clock.seconds() / static_cast<double>(delta_reps);
       Stopwatch full_clock;
-      for (std::int64_t i = 0; i < reps; ++i)
+      for (std::int64_t i = 0; i < delta_reps; ++i)
         sink += ham.total_energy(config);
       const double full_us =
-          1e6 * full_clock.seconds() / static_cast<double>(reps);
+          1e6 * full_clock.seconds() / static_cast<double>(delta_reps);
       volatile double guard = sink;  // keep the timed loops observable
       (void)guard;
       dtab.add(static_cast<std::int64_t>(changed), sparse_us, full_us);

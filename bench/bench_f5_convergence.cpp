@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
+  cfg.require_all_read();
   bench::print_run_header("F5: convergence, DeepThermo vs baseline", opts);
 
   struct RunOutcome {

@@ -19,10 +19,16 @@ int main(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
+  const bool run_measured = cfg.get_bool("measured", true);
+  device::ScalingWorkload w;
+  w.n_sites = cfg.get_int("model_sites", 8192);
+  w.n_bins = static_cast<std::int32_t>(cfg.get_int("model_bins", 8000));
+  w.base_sweeps = cfg.get_double("model_base_sweeps", 5e6);
+  cfg.require_all_read();
   bench::print_run_header("F6: scaling study", opts);
 
   // ---- (a) measured in-process scaling ----
-  if (cfg.get_bool("measured", true)) {
+  if (run_measured) {
     Table measured({"ranks", "windows", "walkers/window", "wall_s",
                     "total_sweeps", "converged"});
     for (const int ranks : {1, 2, 4}) {
@@ -43,10 +49,6 @@ int main(int argc, char** argv) {
   }
 
   // ---- (b) modelled supercomputer scaling ----
-  device::ScalingWorkload w;
-  w.n_sites = cfg.get_int("model_sites", 8192);
-  w.n_bins = static_cast<std::int32_t>(cfg.get_int("model_bins", 8000));
-  w.base_sweeps = cfg.get_double("model_base_sweeps", 5e6);
   const std::vector<int> gpus = {1, 8, 64, 512, 1536, 3000};
 
   struct Machine {

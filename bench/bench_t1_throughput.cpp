@@ -15,6 +15,10 @@ int main(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
+  const std::int64_t local_moves = cfg.get_int("local_moves", 2000000);
+  const std::int64_t vae_moves = cfg.get_int("vae_moves", 3000);
+  const std::int64_t train_steps = cfg.get_int("train_steps", 60);
+  cfg.require_all_read();
   bench::print_run_header("T1: kernel throughput", opts);
 
   auto fw = core::Framework::nbmotaw(opts);
@@ -29,28 +33,26 @@ int main(int argc, char** argv) {
   double local_rate = 0;
   {
     mc::LocalSwapProposal kernel(ham);
-    const std::int64_t n = cfg.get_int("local_moves", 2000000);
     Stopwatch clock;
     double e = ham.total_energy(config);
-    for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t i = 0; i < local_moves; ++i) {
       const auto r = kernel.propose(config, units::Energy(e), rng);
       if (r.valid) e += r.delta_energy.value();  // keep, no revert: max throughput
     }
-    local_rate = static_cast<double>(n) / clock.seconds();
+    local_rate = static_cast<double>(local_moves) / clock.seconds();
   }
 
   // ---- measured: VAE global proposals ----
   double vae_rate = 0;
   {
     core::VaeProposal kernel(ham, fw.vae());
-    const std::int64_t n = cfg.get_int("vae_moves", 3000);
     Stopwatch clock;
     double e = ham.total_energy(config);
-    for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t i = 0; i < vae_moves; ++i) {
       const auto r = kernel.propose(config, units::Energy(e), rng);
       e += r.delta_energy.value();
     }
-    vae_rate = static_cast<double>(n) / clock.seconds();
+    vae_rate = static_cast<double>(vae_moves) / clock.seconds();
   }
 
   // ---- measured: VAE training ----
@@ -65,11 +67,11 @@ int main(int argc, char** argv) {
       batch.insert(batch.end(), sample.occupancy().begin(),
                    sample.occupancy().end());
     }
-    const std::int64_t steps = cfg.get_int("train_steps", 60);
     Stopwatch clock;
-    for (std::int64_t i = 0; i < steps; ++i)
+    for (std::int64_t i = 0; i < train_steps; ++i)
       (void)trainer.train_batch(batch, to.batch_size);
-    train_rate = static_cast<double>(steps * to.batch_size) / clock.seconds();
+    train_rate =
+        static_cast<double>(train_steps * to.batch_size) / clock.seconds();
   }
 
   Table measured({"kernel", "throughput", "unit"});

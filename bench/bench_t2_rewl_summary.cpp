@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   opts.rewl.n_windows = static_cast<int>(cfg.get_int("windows", 3));
   opts.rewl.walkers_per_window =
       static_cast<int>(cfg.get_int("walkers", 2));
+  cfg.require_all_read();
   bench::print_run_header("T2: REWL configuration summary", opts);
 
   auto fw = core::Framework::nbmotaw(opts);

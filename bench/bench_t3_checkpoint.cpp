@@ -19,12 +19,13 @@ int main(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   core::DeepThermoOptions opts = bench::bench_options(cfg);
-  bench::print_run_header("T3: checkpoint/restart overhead", opts);
-
   const std::string ckpt_dir = cfg.get_string(
       "ckpt_dir",
       (std::filesystem::temp_directory_path() / "dt_bench_ckpt").string());
   const std::int64_t interval = cfg.get_int("ckpt_interval", 25);
+  cfg.require_all_read();
+  bench::print_run_header("T3: checkpoint/restart overhead", opts);
+
   std::filesystem::remove_all(ckpt_dir);
 
   auto& metrics = obs::MetricsRegistry::global();

@@ -109,11 +109,6 @@ int main(int argc, char** argv) {
 
   Config cli;
   cli.update_from_args(argc, argv);
-  if (cli.get_bool("print-default-config", false)) {
-    std::cout << kDefaultConfig;
-    return 0;
-  }
-
   Config cfg = Config::from_text(kDefaultConfig);
   if (!cli.positional().empty()) {
     std::ifstream in(cli.positional().front());
@@ -128,25 +123,18 @@ int main(int argc, char** argv) {
     for (const auto& [key, value] : file_cfg.items()) cfg.set(key, value);
   }
   for (const auto& [key, value] : cli.items()) cfg.set(key, value);
-
-  if (cfg.get_string("log_format", "text") == "json")
-    set_log_format(LogFormat::kJson);
-  const std::string telemetry_path = cfg.get_string("telemetry", "");
-  if (!telemetry_path.empty())
-    obs::Telemetry::instance().enable(telemetry_path);
-
-  std::optional<obs::HttpServer> obs_server;
-  const auto obs_port = static_cast<int>(cfg.get_int("obs_http_port", -1));
-  if (obs_port >= 0) {
-    obs::HttpServerOptions so;
-    so.bind = cfg.get_string("obs_http_bind", "127.0.0.1");
-    so.port = obs_port;
-    obs_server.emplace(so);
-    obs_server->start();
-    std::printf("observability: http://%s:%d (/metrics /status /healthz "
-                "/trace)\n",
-                so.bind.c_str(), obs_server->port());
+  if (cfg.get_bool("print-default-config", false)) {
+    std::cout << kDefaultConfig;
+    return 0;
   }
+
+  // Read every key before anything runs, so require_all_read() below
+  // rejects a mistyped key up front.
+  const bool json_logs = cfg.get_string("log_format", "text") == "json";
+  const std::string telemetry_path = cfg.get_string("telemetry", "");
+  obs::HttpServerOptions so;
+  so.bind = cfg.get_string("obs_http_bind", "127.0.0.1");
+  so.port = static_cast<int>(cfg.get_int("obs_http_port", -1));
 
   core::DeepThermoOptions opts;
   opts.lattice.type = parse_lattice(cfg.get_string("lattice", "bcc"));
@@ -182,6 +170,24 @@ int main(int argc, char** argv) {
   opts.resume = cfg.get_bool("resume", false);
   opts.rewl.watchdog_stall_seconds =
       cfg.get_double("watchdog_stall_seconds", 0.0);
+  const double t_lo = cfg.get_double("t_lo", 0.005);
+  const double t_hi = cfg.get_double("t_hi", 0.4);
+  const auto n_t = static_cast<std::size_t>(cfg.get_int("t_points", 40));
+  const std::string dos_out = cfg.get_string("dos_out", "");
+  const std::string scan_out = cfg.get_string("scan_out", "");
+  cfg.require_all_read();
+
+  if (json_logs) set_log_format(LogFormat::kJson);
+  if (!telemetry_path.empty())
+    obs::Telemetry::instance().enable(telemetry_path);
+  std::optional<obs::HttpServer> obs_server;
+  if (so.port >= 0) {
+    obs_server.emplace(so);
+    obs_server->start();
+    std::printf("observability: http://%s:%d (/metrics /status /healthz "
+                "/trace)\n",
+                so.bind.c_str(), obs_server->port());
+  }
   if (!opts.checkpoint_dir.empty()) ckpt::install_signal_handlers();
 
   // n_species == 4 selects the NbMoTaW preset; anything else gets a
@@ -214,9 +220,6 @@ int main(int argc, char** argv) {
   if (opts.production_sweeps > 0)
     std::printf("production flatness: %.3f\n", result.production_flatness);
 
-  const double t_lo = cfg.get_double("t_lo", 0.005);
-  const double t_hi = cfg.get_double("t_hi", 0.4);
-  const auto n_t = static_cast<std::size_t>(cfg.get_int("t_points", 40));
   const auto scan = core::Framework::scan(result, t_lo, t_hi, n_t);
   const double n_atoms = framework.lattice_ref().num_sites();
 
@@ -228,13 +231,11 @@ int main(int argc, char** argv) {
   table.print(std::cout, "thermodynamic scan");
   std::printf("\nTc (Cv peak): %.6g\n", mc::transition_temperature(scan));
 
-  const std::string dos_out = cfg.get_string("dos_out", "");
   if (!dos_out.empty()) {
     std::ofstream out(dos_out);
     result.dos.save(out);
     std::printf("DOS -> %s\n", dos_out.c_str());
   }
-  const std::string scan_out = cfg.get_string("scan_out", "");
   if (!scan_out.empty()) {
     table.write_csv_file(scan_out);
     std::printf("scan -> %s\n", scan_out.c_str());

@@ -13,8 +13,9 @@
 #
 # Escape hatches (set to 1): DT_SKIP_LINT, DT_SKIP_ANALYZER,
 # DT_SKIP_CLANG_TIDY, DT_SKIP_TSAN, DT_SKIP_COVERAGE,
-# DT_SKIP_PERF_SMOKE. Stages that need a missing optional tool
-# (clang-format, clang-tidy) self-skip.
+# DT_SKIP_PERF_SMOKE. static_format and static_clang_tidy are for Clang
+# hosts only: they need clang-format / clang-tidy and self-skip without
+# them.
 #
 # Each stage emits one machine-readable summary line:
 #   check.sh[stage] name=<stage> status=<ok|fail|skip> duration_s=<secs>
@@ -100,6 +101,7 @@ stage_format() {
   local rc=0
   "${repo_root}/scripts/check_format.sh" || rc=$?
   if [[ "${rc}" == "2" ]]; then
+    echo "check.sh: format gate skipped (Clang hosts only: no clang-format on PATH)"
     return 99
   fi
   return "${rc}"
@@ -111,7 +113,7 @@ stage_clang_tidy() {
     return 99
   fi
   if ! command -v clang-tidy >/dev/null 2>&1; then
-    echo "check.sh: clang-tidy skipped (no clang-tidy on PATH)"
+    echo "check.sh: clang-tidy skipped (Clang hosts only: no clang-tidy on PATH)"
     return 99
   fi
   local tidy_dir="${repo_root}/build-tidy"

@@ -1,7 +1,11 @@
 #include "common/config.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -14,6 +18,19 @@ std::string trim(const std::string& s) {
   if (begin == std::string::npos) return {};
   const auto end = s.find_last_not_of(" \t\r\n");
   return s.substr(begin, end - begin + 1);
+}
+
+/// Typo distance: the longer of the two middles left once the common
+/// prefix and suffix are stripped ("decode_plan" vs "decode_plane" -> 1,
+/// "globla" vs "global" -> 2). An upper bound on the edit distance,
+/// equal to it for one inserted, deleted or substituted character.
+std::ptrdiff_t typo_distance(std::string_view a, std::string_view b) {
+  const auto [a_mid, b_mid] =
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  const auto [a_end, b_end] =
+      std::mismatch(a.rbegin(), std::make_reverse_iterator(a_mid), b.rbegin(),
+                    std::make_reverse_iterator(b_mid));
+  return std::max(a_end.base() - a_mid, b_end.base() - b_mid);
 }
 
 }  // namespace
@@ -61,6 +78,7 @@ bool Config::has(const std::string& key) const {
 }
 
 std::optional<std::string> Config::find(const std::string& key) const {
+  read_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
@@ -103,6 +121,23 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
 
 std::vector<std::pair<std::string, std::string>> Config::items() const {
   return {values_.begin(), values_.end()};
+}
+
+void Config::require_all_read() const {
+  std::ostringstream unread;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) != 0) continue;
+    unread << "\n  '" << key << "'";
+    if (read_.empty()) continue;
+    const auto nearest = std::min_element(
+        read_.begin(), read_.end(), [&](const auto& a, const auto& b) {
+          return typo_distance(key, a) < typo_distance(key, b);
+        });
+    unread << " -- did you mean '" << *nearest << "'?";
+  }
+  if (!unread.str().empty())
+    throw Error("unknown config key(s), never read by this program:" +
+                unread.str());
 }
 
 }  // namespace dt

@@ -4,13 +4,16 @@
 // key=value text (files or inline) and --key=value / --flag command lines.
 // Later sources override earlier ones, so a typical driver does:
 //
-//   Config cfg = Config::defaults(...);
+//   Config cfg = Config::from_text(kDefaults);
 //   cfg.update_from_args(argc, argv);
+//   ... build options with cfg.get_*() ...
+//   cfg.require_all_read();  // a mistyped key fails instead of being ignored
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -45,10 +48,18 @@ class Config {
   /// All key=value pairs, sorted by key (for logging run parameters).
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> items() const;
 
+  /// Throw dt::Error naming every set key that no get_*() call has read,
+  /// each with the nearest key that was read. A program calls it once
+  /// all its options are built.
+  void require_all_read() const;
+
  private:
   [[nodiscard]] std::optional<std::string> find(const std::string& key) const;
 
   std::map<std::string, std::string> values_;
+  /// Keys asked for through get_*(), set or not. Recording them makes
+  /// get_*() a write: one Config must not be read from two threads.
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };
 

@@ -62,9 +62,9 @@ std::vector<std::pair<std::string, double>> DeepThermoProposal::telemetry()
     const {
   const VaeProposalStats& vs = vae_.stats();
   return {{"local_proposed", static_cast<double>(local_stats_.proposed)},
-          {"local_accept", local_stats_.acceptance_rate()},
+          {"local_acceptance", local_stats_.acceptance_rate()},
           {"vae_proposed", static_cast<double>(vs.proposed)},
-          {"vae_accept", vs.acceptance_rate()},
+          {"vae_acceptance", vs.acceptance_rate()},
           // Decode-plane wait telemetry (zeros when no plane attached):
           // cumulative ms this walker spent blocked on fused decodes and
           // how many refills blocked, so /status can surface a walker

@@ -37,7 +37,8 @@ class DeepThermoProposal final : public mc::Proposal {
   void revert(lattice::Configuration& cfg) override;
   [[nodiscard]] std::string name() const override { return "deepthermo"; }
 
-  /// Per-component acceptance split for the per-walker telemetry events.
+  /// Per-component acceptance split for the per-walker record; the keys
+  /// are obs::WalkerBlock field names.
   [[nodiscard]] std::vector<std::pair<std::string, double>> telemetry()
       const override;
 

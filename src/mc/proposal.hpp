@@ -54,9 +54,10 @@ class Proposal {
   /// True for kernels that update O(N) sites per move.
   [[nodiscard]] virtual bool is_global() const { return false; }
 
-  /// Optional kernel telemetry: (name, value) pairs merged into the
-  /// per-walker telemetry events by the REWL driver (e.g. the mixed
-  /// DeepThermo kernel reports its local/VAE acceptance split). Base
+  /// Optional kernel telemetry: (name, value) pairs par::run_rewl
+  /// assigns by name into its per-walker record (obs::WalkerBlock; e.g.
+  /// the mixed DeepThermo kernel reports its local/VAE acceptance split).
+  /// A name outside that record's field table fails the run. Base
   /// kernels report nothing.
   [[nodiscard]] virtual std::vector<std::pair<std::string, double>>
   telemetry() const {

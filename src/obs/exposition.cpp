@@ -3,6 +3,9 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -38,6 +41,17 @@ const std::string& claim(std::map<std::string, std::string>& taken,
                 "'");
   }
   return it->first;
+}
+
+/// Prometheus name of a walker field: `health_walker_<field>` with the
+/// `_s` unit suffix spelled out (sweeps_per_s -> sweeps_per_second).
+std::string walker_series_name(std::string_view field) {
+  std::string name(field);
+  if (name.ends_with("_per_s"))
+    name.replace(name.size() - 2, 2, "_second");
+  else if (name.ends_with("_s"))
+    name.replace(name.size() - 2, 2, "_seconds");
+  return "health_walker_" + name;
 }
 
 }  // namespace
@@ -109,59 +123,25 @@ std::string render_prometheus(const MetricsSnapshot& snap,
      << "health_checkpoint_generation " << health.checkpoint_generation
      << '\n';
 
-  struct Series {
-    const char* name;
-    double (*get)(const HealthSnapshot::Walker&);
-  };
-  static constexpr Series kWalkerSeries[] = {
-      {"health_walker_flatness",
-       [](const HealthSnapshot::Walker& w) { return w.flatness; }},
-      {"health_walker_best_flatness",
-       [](const HealthSnapshot::Walker& w) { return w.best_flatness; }},
-      {"health_walker_log_f",
-       [](const HealthSnapshot::Walker& w) { return w.log_f; }},
-      {"health_walker_f_stage",
-       [](const HealthSnapshot::Walker& w) {
-         return static_cast<double>(w.f_stage);
-       }},
-      {"health_walker_sweeps",
-       [](const HealthSnapshot::Walker& w) {
-         return static_cast<double>(w.sweeps);
-       }},
-      {"health_walker_sweeps_per_second",
-       [](const HealthSnapshot::Walker& w) { return w.sweeps_per_s; }},
-      {"health_walker_acceptance",
-       [](const HealthSnapshot::Walker& w) { return w.acceptance; }},
-      {"health_walker_round_trips",
-       [](const HealthSnapshot::Walker& w) {
-         return static_cast<double>(w.round_trips);
-       }},
-      {"health_walker_round_trip_mean_seconds",
-       [](const HealthSnapshot::Walker& w) { return w.round_trip_mean_s; }},
-      {"health_walker_local_acceptance",
-       [](const HealthSnapshot::Walker& w) { return w.local_acceptance; }},
-      {"health_walker_vae_acceptance",
-       [](const HealthSnapshot::Walker& w) { return w.vae_acceptance; }},
-      {"health_walker_converged",
-       [](const HealthSnapshot::Walker& w) {
-         return w.converged ? 1.0 : 0.0;
-       }},
-      {"health_walker_stalled",
-       [](const HealthSnapshot::Walker& w) {
-         return w.stalled ? 1.0 : 0.0;
-       }},
-      {"health_walker_seconds_since_improve",
-       [](const HealthSnapshot::Walker& w) {
-         return w.seconds_since_improve;
-       }},
-  };
-  for (const Series& series : kWalkerSeries) {
-    os << "# TYPE " << series.name << " gauge\n";
-    for (const auto& w : health.walkers) {
-      os << series.name << "{rank=\"" << w.rank << "\",window=\""
-         << w.window << "\"} " << sample_value(series.get(w)) << '\n';
-    }
+  // One gauge family per walker field, one sample per walker; the
+  // field table fixes the order, so family i collects every walker's
+  // i-th field.
+  std::vector<std::pair<std::string, std::string>> families;
+  for (const auto& w : health.walkers) {
+    const std::string labels = "{rank=\"" + std::to_string(w.rank) +
+                               "\",window=\"" + std::to_string(w.window) +
+                               "\"} ";
+    std::size_t i = 0;
+    w.for_each_field([&](std::string_view name, auto value) {
+      if (i == families.size())
+        families.emplace_back(walker_series_name(name), std::string());
+      auto& [series, samples] = families[i++];
+      samples += series + labels +
+                 sample_value(static_cast<double>(value)) + '\n';
+    });
   }
+  for (const auto& [series, samples] : families)
+    os << "# TYPE " << series << " gauge\n" << samples;
 
   os << "# TYPE health_exchange_attempted counter\n";
   for (std::size_t i = 0; i < health.pairs.size(); ++i)

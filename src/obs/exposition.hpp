@@ -29,9 +29,10 @@ namespace dt::obs {
 /// dt::Error when two instruments collide after sanitization.
 [[nodiscard]] std::string render_prometheus(const MetricsSnapshot& snap);
 
-/// Same, plus the health plane: per-walker series labelled
-/// {rank=...,window=...} and per-window-pair exchange series
-/// labelled {pair=...}.
+/// Same, plus the health plane: one gauge per walker field
+/// (HealthSnapshot::Walker::for_each_field) labelled
+/// {rank=...,window=...} and per-window-pair exchange series labelled
+/// {pair=...}.
 [[nodiscard]] std::string render_prometheus(const MetricsSnapshot& snap,
                                             const HealthSnapshot& health);
 

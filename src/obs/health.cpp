@@ -1,17 +1,30 @@
 #include "obs/health.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace dt::obs {
 
 namespace {
+
 std::atomic<int> g_instrumentation_depth{0};
+
+template <typename T>
+T from_telemetry(double value) {
+  if constexpr (std::is_same_v<T, Flag>)
+    return value != 0.0 ? Flag::kYes : Flag::kNo;
+  else
+    return static_cast<T>(value);
+}
+
 }  // namespace
 
 bool instrumentation_active() {
@@ -26,6 +39,65 @@ void instrumentation_release() {
   g_instrumentation_depth.fetch_sub(1, std::memory_order_relaxed);
 }
 
+void set_field(WalkerBlock& block, std::string_view name, double value) {
+#define DT_WALKER_ASSIGN(type, field, init)      \
+  if (name == #field) {                          \
+    block.field = from_telemetry<type>(value);   \
+    return;                                      \
+  }
+  DT_WALKER_FIELDS(DT_WALKER_ASSIGN)
+#undef DT_WALKER_ASSIGN
+  DT_CHECK_MSG(false, "unknown walker telemetry key '"
+                          << name << "' (not in DT_WALKER_FIELDS)");
+}
+
+void WalkerHealthCell::store(const WalkerBlock& block) {
+  const auto raw = std::bit_cast<std::array<std::uint64_t, kWords>>(block);
+  for (std::size_t i = 0; i < kWords; ++i)
+    words[i].store(raw[i], std::memory_order_relaxed);
+}
+
+WalkerBlock WalkerHealthCell::load() const {
+  std::array<std::uint64_t, kWords> raw{};
+  for (std::size_t i = 0; i < kWords; ++i)
+    raw[i] = words[i].load(std::memory_order_relaxed);
+  return std::bit_cast<WalkerBlock>(raw);
+}
+
+std::string walkers_json(const HealthSnapshot& snap) {
+  std::string out = "[";
+  for (const HealthSnapshot::Walker& w : snap.walkers) {
+    if (out.size() > 1) out += ',';
+    std::string trajectory = "[";
+    for (const auto& [sweeps, flatness] : w.trajectory) {
+      if (trajectory.size() > 1) trajectory += ',';
+      trajectory += '[' + std::to_string(sweeps) + ',' +
+                    json_number(flatness) + ']';
+    }
+    JsonWriter entry;
+    w.for_each_field([&](std::string_view name, auto value) {
+      entry.field(name, value);
+    });
+    out += entry.raw("flatness_trajectory", trajectory + ']').str();
+  }
+  return out + ']';
+}
+
+std::string exchange_pairs_json(const HealthSnapshot& snap) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < snap.pairs.size(); ++i) {
+    const HealthSnapshot::Pair& p = snap.pairs[i];
+    if (i > 0) out += ',';
+    JsonWriter pair;
+    pair.field("pair", static_cast<std::int64_t>(i))
+        .field("attempted", p.attempted)
+        .field("accepted", p.accepted)
+        .field("acceptance_ewma", p.ewma < 0.0 ? 0.0 : p.ewma);
+    out += pair.str();
+  }
+  return out + ']';
+}
+
 void HealthRegistry::configure(int n_ranks, int n_windows,
                                int walkers_per_window, double stall_seconds) {
   DT_CHECK(n_ranks >= 1 && n_windows >= 1 && walkers_per_window >= 1);
@@ -37,10 +109,10 @@ void HealthRegistry::configure(int n_ranks, int n_windows,
   fresh->n_windows = n_windows;
   fresh->walkers_per_window = walkers_per_window;
   fresh->stall_seconds = stall_seconds;
-  const double now = now_s();
+  fresh->configured_s = now_s();
   for (auto& cell : fresh->walkers) {
-    cell.last_improve_s.store(now, std::memory_order_relaxed);
-    cell.last_publish_s.store(now, std::memory_order_relaxed);
+    cell.store(WalkerBlock{});
+    cell.last_improve_s.store(fresh->configured_s, std::memory_order_relaxed);
   }
   MutexLock lock(mutex_);
   block_ = std::move(fresh);
@@ -64,53 +136,33 @@ std::shared_ptr<WalkerHealthCell> HealthRegistry::walker_cell(int rank) {
 }
 
 void HealthRegistry::publish(const std::shared_ptr<WalkerHealthCell>& cell,
-                             const WalkerHealthSample& sample) {
+                             const WalkerBlock& block) {
   if (cell == nullptr) return;
-  const double now = now_s();
   WalkerHealthCell& c = *cell;
 
   // Improvement clock: a new ln f stage restarts the histogram, so the
   // stage transition itself is progress; within a stage, only a strictly
   // better flatness ratio resets the stall timer.
-  const std::int32_t prev_stage = c.f_stage.load(std::memory_order_relaxed);
+  const std::int64_t prev_stage = c.best_stage.load(std::memory_order_relaxed);
   const double prev_best = c.best_flatness.load(std::memory_order_relaxed);
-  if (sample.f_stage != prev_stage ||
-      sample.flatness > prev_best + kImproveEpsilon) {
-    c.best_flatness.store(sample.f_stage != prev_stage
-                              ? sample.flatness
-                              : std::max(prev_best, sample.flatness),
+  if (block.f_stage != prev_stage ||
+      block.flatness > prev_best + kImproveEpsilon) {
+    c.best_flatness.store(block.f_stage != prev_stage
+                              ? block.flatness
+                              : std::max(prev_best, block.flatness),
                           std::memory_order_relaxed);
-    c.last_improve_s.store(now, std::memory_order_relaxed);
+    c.best_stage.store(block.f_stage, std::memory_order_relaxed);
+    c.last_improve_s.store(now_s(), std::memory_order_relaxed);
   }
-
-  c.window.store(sample.window, std::memory_order_relaxed);
-  c.sweeps.store(sample.sweeps, std::memory_order_relaxed);
-  c.sweeps_per_s.store(sample.sweeps_per_s, std::memory_order_relaxed);
-  c.flatness.store(sample.flatness, std::memory_order_relaxed);
-  c.log_f.store(sample.log_f, std::memory_order_relaxed);
-  c.f_stage.store(sample.f_stage, std::memory_order_relaxed);
-  c.acceptance.store(sample.acceptance, std::memory_order_relaxed);
-  c.round_trips.store(sample.round_trips, std::memory_order_relaxed);
-  c.energy.store(sample.energy, std::memory_order_relaxed);
-  c.local_proposed.store(sample.local_proposed, std::memory_order_relaxed);
-  c.local_acceptance.store(sample.local_acceptance,
-                           std::memory_order_relaxed);
-  c.vae_proposed.store(sample.vae_proposed, std::memory_order_relaxed);
-  c.vae_acceptance.store(sample.vae_acceptance, std::memory_order_relaxed);
-  c.vae_decode_wait_ms.store(sample.vae_decode_wait_ms,
-                             std::memory_order_relaxed);
-  c.vae_decode_waits.store(sample.vae_decode_waits,
-                           std::memory_order_relaxed);
-  c.converged.store(sample.converged, std::memory_order_relaxed);
-  c.last_publish_s.store(now, std::memory_order_relaxed);
+  c.store(block);
 
   // Trajectory ring: write the slot, then advance the head, so readers
   // that bound their scan by the head never see an unwritten slot.
   const std::uint64_t head =
       c.trajectory_head.load(std::memory_order_relaxed);
   auto& point = c.trajectory[head % WalkerHealthCell::kTrajectoryLen];
-  point.flatness.store(sample.flatness, std::memory_order_relaxed);
-  point.sweeps.store(sample.sweeps, std::memory_order_release);
+  point.flatness.store(block.flatness, std::memory_order_relaxed);
+  point.sweeps.store(block.sweeps, std::memory_order_release);
   c.trajectory_head.store(head + 1, std::memory_order_release);
 }
 
@@ -152,10 +204,10 @@ int HealthRegistry::evaluate() {
   int stalled = 0;
   for (std::size_t rank = 0; rank < blk->walkers.size(); ++rank) {
     WalkerHealthCell& c = blk->walkers[rank];
+    const WalkerBlock last = c.load();
     bool verdict = false;
-    if (blk->stall_seconds > 0.0 &&
-        c.sweeps.load(std::memory_order_relaxed) > 0 &&
-        !c.converged.load(std::memory_order_relaxed)) {
+    if (blk->stall_seconds > 0.0 && last.sweeps > 0 &&
+        last.converged == Flag::kNo) {
       const double idle =
           now - c.last_improve_s.load(std::memory_order_relaxed);
       verdict = idle > blk->stall_seconds;
@@ -164,10 +216,8 @@ int HealthRegistry::evaluate() {
     const bool was = c.stalled.exchange(verdict, std::memory_order_relaxed);
     if (verdict && !was) {
       DT_LOG_WARN << "health: walker " << rank << " (window "
-                  << c.window.load(std::memory_order_relaxed)
-                  << ") stalled -- flatness "
-                  << c.flatness.load(std::memory_order_relaxed)
-                  << " unimproved for "
+                  << last.window << ") stalled -- flatness "
+                  << last.flatness << " unimproved for "
                   << now - c.last_improve_s.load(std::memory_order_relaxed)
                   << " s (budget " << blk->stall_seconds << " s)";
     }
@@ -195,32 +245,16 @@ HealthSnapshot HealthRegistry::snapshot() const {
   for (std::size_t rank = 0; rank < blk->walkers.size(); ++rank) {
     const WalkerHealthCell& c = blk->walkers[rank];
     HealthSnapshot::Walker w;
-    w.rank = static_cast<int>(rank);
-    w.window = c.window.load(std::memory_order_relaxed);
-    w.sweeps = c.sweeps.load(std::memory_order_relaxed);
-    w.sweeps_per_s = c.sweeps_per_s.load(std::memory_order_relaxed);
-    w.flatness = c.flatness.load(std::memory_order_relaxed);
+    static_cast<WalkerBlock&>(w) = c.load();
+    w.rank = static_cast<std::int64_t>(rank);  // the cell is the identity
     w.best_flatness = c.best_flatness.load(std::memory_order_relaxed);
-    w.log_f = c.log_f.load(std::memory_order_relaxed);
-    w.f_stage = c.f_stage.load(std::memory_order_relaxed);
-    w.acceptance = c.acceptance.load(std::memory_order_relaxed);
-    w.round_trips = c.round_trips.load(std::memory_order_relaxed);
-    w.round_trip_mean_s =
-        w.round_trips == 0 ? 0.0
-                           : snap.uptime_s /
-                                 static_cast<double>(w.round_trips);
-    w.energy = c.energy.load(std::memory_order_relaxed);
-    w.local_proposed = c.local_proposed.load(std::memory_order_relaxed);
-    w.local_acceptance = c.local_acceptance.load(std::memory_order_relaxed);
-    w.vae_proposed = c.vae_proposed.load(std::memory_order_relaxed);
-    w.vae_acceptance = c.vae_acceptance.load(std::memory_order_relaxed);
-    w.vae_decode_wait_ms =
-        c.vae_decode_wait_ms.load(std::memory_order_relaxed);
-    w.vae_decode_waits = c.vae_decode_waits.load(std::memory_order_relaxed);
-    w.converged = c.converged.load(std::memory_order_relaxed);
     w.stalled = c.stalled.load(std::memory_order_relaxed);
     w.seconds_since_improve =
         now - c.last_improve_s.load(std::memory_order_relaxed);
+    w.round_trip_mean_s =
+        w.round_trips == 0 ? 0.0
+                           : (now - blk->configured_s) /
+                                 static_cast<double>(w.round_trips);
 
     const std::uint64_t head =
         c.trajectory_head.load(std::memory_order_acquire);
@@ -260,7 +294,7 @@ std::string HealthRegistry::summary_line() const {
   for (const auto& w : snap.walkers) {
     min_flatness = std::min(min_flatness, w.flatness);
     round_trips += w.round_trips;
-    if (w.converged) ++converged;
+    if (w.converged == Flag::kYes) ++converged;
   }
   std::ostringstream os;
   os << "health: " << converged << "/" << snap.walkers.size()

@@ -35,62 +35,8 @@ std::string http_response(int code, const char* reason,
   return std::move(os).str();
 }
 
-std::string walker_json(const HealthSnapshot::Walker& w) {
-  std::string trajectory = "[";
-  for (std::size_t k = 0; k < w.trajectory.size(); ++k) {
-    if (k > 0) trajectory += ',';
-    trajectory += '[' + std::to_string(w.trajectory[k].first) + ',' +
-                  json_number(w.trajectory[k].second) + ']';
-  }
-  trajectory += ']';
-  JsonWriter entry;
-  entry.field("rank", static_cast<std::int64_t>(w.rank))
-      .field("window", static_cast<std::int64_t>(w.window))
-      .field("sweeps", w.sweeps)
-      .field("sweeps_per_s", w.sweeps_per_s)
-      .field("flatness", w.flatness)
-      .field("best_flatness", w.best_flatness)
-      .field("log_f", w.log_f)
-      .field("f_stage", w.f_stage)
-      .field("acceptance", w.acceptance)
-      .field("round_trips", w.round_trips)
-      .field("round_trip_mean_s", w.round_trip_mean_s)
-      .field("energy", w.energy)
-      .field("local_proposed", w.local_proposed)
-      .field("local_acceptance", w.local_acceptance)
-      .field("vae_proposed", w.vae_proposed)
-      .field("vae_acceptance", w.vae_acceptance)
-      .field("vae_decode_wait_ms", w.vae_decode_wait_ms)
-      .field("vae_decode_waits", w.vae_decode_waits)
-      .field("converged", w.converged)
-      .field("stalled", w.stalled)
-      .field("seconds_since_improve", w.seconds_since_improve)
-      .raw("flatness_trajectory", trajectory);
-  return entry.str();
-}
-
 std::string status_json() {
   const HealthSnapshot health = HealthRegistry::global().snapshot();
-
-  std::string walkers = "[";
-  for (std::size_t i = 0; i < health.walkers.size(); ++i) {
-    if (i > 0) walkers += ',';
-    walkers += walker_json(health.walkers[i]);
-  }
-  walkers += ']';
-
-  std::string pairs = "[";
-  for (std::size_t i = 0; i < health.pairs.size(); ++i) {
-    if (i > 0) pairs += ',';
-    JsonWriter pair;
-    pair.field("pair", static_cast<std::int64_t>(i))
-        .field("attempted", health.pairs[i].attempted)
-        .field("accepted", health.pairs[i].accepted)
-        .field("acceptance_ewma",
-               health.pairs[i].ewma < 0.0 ? 0.0 : health.pairs[i].ewma);
-    pairs += pair.str();
-  }
-  pairs += ']';
 
   // Span duration quantiles from the log10-domain histograms recorded by
   // ScopedSpan (see obs/trace.cpp): p = 10^value_at_quantile.
@@ -142,8 +88,8 @@ std::string status_json() {
       .field("watchdog_stall_seconds", health.stall_seconds)
       .field("stalled_walkers",
              static_cast<std::int64_t>(health.stalled_walkers))
-      .raw("walkers", walkers)
-      .raw("exchange_pairs", pairs)
+      .raw("walkers", walkers_json(health))
+      .raw("exchange_pairs", exchange_pairs_json(health))
       .raw("decode_plane", plane.str())
       .raw("spans", spans);
   return status.str();

@@ -38,20 +38,6 @@ struct ExchangeStats {
   std::int64_t accepted = 0;
 };
 
-/// Serialised per-walker report (trivially copyable for minicomm).
-struct WireReport {
-  std::int64_t sweeps;
-  std::int32_t f_stages;
-  double acceptance;
-  double flatness;
-  std::uint64_t round_trips;
-  std::int64_t exch_attempted;
-  std::int64_t exch_accepted;
-  std::int32_t converged;
-  double energy;
-  std::uint64_t rng_position;
-};
-
 std::string rank_component(int rank) {
   return "rank" + std::to_string(rank);
 }
@@ -196,6 +182,31 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
         metrics.counter("rewl.exchange.accepted");
     const std::shared_ptr<obs::WalkerHealthCell> health_cell =
         health.walker_cell(rank);
+
+    // The walker's state as the one record every sink renders; the
+    // per-block fields (sweeps_per_s, partner_window) are the caller's.
+    auto make_block = [&] {
+      const mc::WangLandauStats& st = walker.stats();
+      obs::WalkerBlock block;
+      block.rank = rank;
+      block.window = window_id;
+      block.round = round;
+      block.sweeps = st.sweeps;
+      block.log_f = walker.log_f();
+      block.f_stage = st.f_stages_completed;
+      block.flatness =
+          walker.histogram().flatness_ratio(window.lo_bin, window.hi_bin);
+      block.acceptance = st.acceptance_rate();
+      block.round_trips = st.round_trips;
+      block.exch_attempted = exch.attempted;
+      block.exch_accepted = exch.accepted;
+      block.energy = walker.energy().value();
+      block.rng_position = walker.rng_position();
+      block.converged = walker.converged() ? obs::Flag::kYes : obs::Flag::kNo;
+      for (const auto& [name, value] : proposal->telemetry())
+        obs::set_field(block, name, value);
+      return block;
+    };
     Stopwatch block_clock;
     std::int64_t sweeps_at_last_block = 0;
     bool interrupted_run = false;
@@ -369,67 +380,27 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
 
       // ---- health publish (always on) + optional telemetry event ----
       {
-        const mc::WangLandauStats& st = walker.stats();
+        obs::WalkerBlock block = make_block();
         const double block_s = block_clock.seconds();
         block_clock.reset();
-        const double sweeps_per_s =
-            block_s > 0.0 ? static_cast<double>(st.sweeps -
-                                                sweeps_at_last_block) /
-                                block_s
-                          : 0.0;
-        sweeps_at_last_block = st.sweeps;
-        const double flatness = walker.histogram().flatness_ratio(
-            window.lo_bin, window.hi_bin);
-        const auto kernel_telemetry = proposal->telemetry();
-
-        obs::WalkerHealthSample sample;
-        sample.window = window_id;
-        sample.sweeps = st.sweeps;
-        sample.sweeps_per_s = sweeps_per_s;
-        sample.flatness = flatness;
-        sample.log_f = walker.log_f();
-        sample.f_stage = st.f_stages_completed;
-        sample.acceptance = st.acceptance_rate();
-        sample.round_trips = st.round_trips;
-        sample.energy = walker.energy().value();
-        sample.converged = walker.converged();
-        for (const auto& [field, value] : kernel_telemetry) {
-          if (field == "local_proposed")
-            sample.local_proposed = static_cast<std::uint64_t>(value);
-          else if (field == "local_accept")
-            sample.local_acceptance = value;
-          else if (field == "vae_proposed")
-            sample.vae_proposed = static_cast<std::uint64_t>(value);
-          else if (field == "vae_accept")
-            sample.vae_acceptance = value;
-          else if (field == "vae_decode_wait_ms")
-            sample.vae_decode_wait_ms = value;
-          else if (field == "vae_decode_waits")
-            sample.vae_decode_waits = static_cast<std::uint64_t>(value);
-        }
-        health.publish(health_cell, sample);
+        block.sweeps_per_s =
+            block_s > 0.0
+                ? static_cast<double>(block.sweeps - sweeps_at_last_block) /
+                      block_s
+                : 0.0;
+        sweeps_at_last_block = block.sweeps;
+        if (partner >= 0)
+          block.partner_window = is_lower ? window_id + 1 : window_id - 1;
+        health.publish(health_cell, block);
 
         if (obs::instrumentation_active()) {
           rounds_total.add();
           if (telemetry.enabled()) {
             obs::Event event("rewl_walker");
-            event.with("rank", rank)
-                .with("window", window_id)
-                .with("round", round)
-                .with("sweeps", st.sweeps)
-                .with("sweeps_per_s", sweeps_per_s)
-                .with("log_f", walker.log_f())
-                .with("f_stage", st.f_stages_completed)
-                .with("flatness", flatness)
-                .with("acceptance", st.acceptance_rate())
-                .with("round_trips", st.round_trips)
-                .with("partner_window",
-                      partner < 0 ? -1 : (is_lower ? window_id + 1
-                                                   : window_id - 1))
-                .with("exch_attempted", exch.attempted)
-                .with("exch_accepted", exch.accepted);
-            for (const auto& [field, value] : kernel_telemetry)
-              event.with(field, value);
+            obs::for_each_field(block, [&](std::string_view name,
+                                           auto value) {
+              event.with(std::string(name), value);
+            });
             telemetry.emit(std::move(event));
           }
 
@@ -437,9 +408,10 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
             health.evaluate();  // watchdog heartbeat, once per round
             progress.poll([&] {
               std::ostringstream os;
-              os << "rewl: round " << round << ", sweeps " << st.sweeps
-                 << ", ln f " << walker.log_f() << ", flatness " << flatness
-                 << ", acc " << st.acceptance_rate();
+              os << "rewl: round " << block.round << ", sweeps "
+                 << block.sweeps << ", ln f " << block.log_f
+                 << ", flatness " << block.flatness << ", acc "
+                 << block.acceptance;
               return os.str();
             });
           }
@@ -500,39 +472,20 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
                         std::span<const double>(wire.data(), wire.size()));
     }
 
-    // ---- per-walker reports to rank 0 ----
-    WireReport my_report{walker.stats().sweeps,
-                         walker.stats().f_stages_completed,
-                         walker.stats().acceptance_rate(),
-                         walker.histogram().flatness_ratio(window.lo_bin,
-                                                           window.hi_bin),
-                         walker.stats().round_trips,
-                         exch.attempted,
-                         exch.accepted,
-                         walker.converged() ? 1 : 0,
-                         walker.energy().value(),
-                         walker.rng_position()};
+    // ---- per-walker final records to rank 0 ----
+    const obs::WalkerBlock final_block = make_block();
     if (rank == 0) {
-      std::vector<WireReport> reports(
-          static_cast<std::size_t>(options.total_ranks()));
-      reports[0] = my_report;
+      std::vector<obs::WalkerBlock> reports{final_block};
       for (int r = 1; r < options.total_ranks(); ++r)
-        reports[static_cast<std::size_t>(r)] =
-            comm.recv_value<WireReport>(r, kTagReport);
+        reports.push_back(comm.recv_value<obs::WalkerBlock>(r, kTagReport));
 
       std::lock_guard<std::mutex> lock(result_mutex);
       result.interrupted = interrupted_run;
       result.converged = !interrupted_run;
       result.total_sweeps = 0;
-      result.walker_energies.resize(
-          static_cast<std::size_t>(options.total_ranks()));
-      result.walker_rng_positions.resize(
-          static_cast<std::size_t>(options.total_ranks()));
-      for (int r = 0; r < options.total_ranks(); ++r) {
-        result.walker_energies[static_cast<std::size_t>(r)] =
-            reports[static_cast<std::size_t>(r)].energy;
-        result.walker_rng_positions[static_cast<std::size_t>(r)] =
-            reports[static_cast<std::size_t>(r)].rng_position;
+      for (const obs::WalkerBlock& r : reports) {
+        result.walker_energies.push_back(r.energy);
+        result.walker_rng_positions.push_back(r.rng_position);
       }
       result.windows.assign(static_cast<std::size_t>(options.n_windows), {});
       for (int w = 0; w < options.n_windows; ++w) {
@@ -545,16 +498,16 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
         double acc_rate = 0.0;
         wr.flatness = std::numeric_limits<double>::infinity();
         for (int k = 0; k < wpw; ++k) {
-          const WireReport& r =
+          const obs::WalkerBlock& r =
               reports[static_cast<std::size_t>(w * wpw + k)];
           wr.sweeps += r.sweeps;
-          wr.f_stages = std::max(wr.f_stages, r.f_stages);
+          wr.f_stages = std::max(wr.f_stages, static_cast<int>(r.f_stage));
           wr.flatness = std::min(wr.flatness, r.flatness);
           wr.round_trips += r.round_trips;
           acc_rate += r.acceptance;
           exch_att += r.exch_attempted;
           exch_acc += r.exch_accepted;
-          all_conv = all_conv && r.converged != 0;
+          all_conv = all_conv && r.converged == obs::Flag::kYes;
         }
         wr.acceptance = acc_rate / wpw;
         wr.exchange_acceptance =
@@ -566,7 +519,7 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
         result.total_sweeps += wr.sweeps;
       }
     } else {
-      comm.send_value(0, kTagReport, my_report);
+      comm.send_value(0, kTagReport, final_block);
     }
   });
 

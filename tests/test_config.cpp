@@ -79,5 +79,37 @@ TEST(Config, LaterSetWins) {
   EXPECT_EQ(cfg.get_int("k", 0), 2);
 }
 
+
+TEST(Config, UnreadKeysFailNamingTheNearestReadKey) {
+  Config cfg = Config::from_text("decode_plane = true\n");
+  const char* argv[] = {"prog", "--decode_plan=true", "--global_fracton=0.2"};
+  cfg.update_from_args(3, argv);
+  EXPECT_TRUE(cfg.get_bool("decode_plane", false));
+  EXPECT_DOUBLE_EQ(cfg.get_double("global_fraction", 0.05), 0.05);
+  EXPECT_EQ(cfg.get_int("seed", 1), 1);  // read but unset: a known key
+  try {
+    cfg.require_all_read();
+    FAIL() << "unread keys were accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'decode_plan' -- did you mean 'decode_plane'?"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(
+        what.find("'global_fracton' -- did you mean 'global_fraction'?"),
+        std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("'seed'"), std::string::npos) << what;
+  }
+}
+
+TEST(Config, EveryKeyReadPasses) {
+  Config cfg = Config::from_text("seed = 3\nname = hea\n");
+  EXPECT_EQ(cfg.get_int("seed", 1), 3);
+  EXPECT_THROW(cfg.require_all_read(), Error);  // name is still unread
+  EXPECT_EQ(cfg.get_string("name", ""), "hea");
+  EXPECT_NO_THROW(cfg.require_all_read());
+}
+
 }  // namespace
 }  // namespace dt

@@ -12,13 +12,22 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/error.hpp"
+#include "common/json.hpp"
+#include "common/stopwatch.hpp"
 #include "mc/proposal.hpp"
+#include "obs/exposition.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "par/rewl.hpp"
 
@@ -94,7 +103,7 @@ TEST_F(HttpObsTest, StatusReportsPhaseWalkersAndSpanQuantiles) {
   health.configure(/*n_ranks=*/2, /*n_windows=*/2, /*walkers_per_window=*/1,
                    /*stall_seconds=*/0.0);
   health.set_phase("rewl");
-  WalkerHealthSample sample;
+  WalkerBlock sample;
   sample.window = 1;
   sample.sweeps = 500;
   sample.flatness = 0.625;
@@ -124,7 +133,7 @@ TEST_F(HttpObsTest, HealthzReportsStallVerdict) {
   auto& health = HealthRegistry::global();
   // Tiny budget: a walker that published long-enough ago counts stalled.
   health.configure(2, 2, 1, /*stall_seconds=*/1e-9);
-  WalkerHealthSample sample;
+  WalkerBlock sample;
   sample.sweeps = 100;
   sample.flatness = 0.2;
   health.publish(health.walker_cell(0), sample);
@@ -237,6 +246,179 @@ TEST_F(HttpObsTest, ConcurrentScrapesDuringRewlRunDoNotTear) {
   EXPECT_NE(metrics.find("health_exchange_attempted{pair=\"0\"}"),
             std::string::npos);
   server.stop();
+}
+
+
+/// A record in which every field holds a distinct value: 100, 101, ...
+/// in table order (the flag set), except rank, which must name the
+/// publishing cell.
+std::vector<std::string_view> walker_field_names() {
+  std::vector<std::string_view> names;
+  for_each_field(WalkerBlock{}, [&](std::string_view name, auto /*value*/) {
+    names.push_back(name);
+  });
+  return names;
+}
+
+WalkerBlock distinct_block(int rank) {
+  WalkerBlock block;
+  double next = 100.0;
+  for (const std::string_view name : walker_field_names())
+    set_field(block, name, next++);
+  block.rank = rank;
+  return block;
+}
+
+/// `"name":value` exactly as the JSON sinks render it.
+template <typename T>
+std::string json_member(std::string_view name, T value) {
+  JsonWriter one;
+  one.field(name, value);
+  const std::string object = one.str();
+  return object.substr(1, object.size() - 2);  // strip the braces
+}
+
+TEST_F(HttpObsTest, StatusAndPrometheusCarryEveryWalkerField) {
+  auto& health = HealthRegistry::global();
+  health.configure(/*n_ranks=*/3, /*n_windows=*/3, /*walkers_per_window=*/1,
+                   /*stall_seconds=*/0.0);
+  const WalkerBlock block = distinct_block(2);
+  health.publish(health.walker_cell(2), block);
+
+  const std::string status = HttpServer::handle("GET", "/status");
+  const std::string metrics = HttpServer::handle("GET", "/metrics");
+  const std::string labels = "{rank=\"2\",window=\"101\"} ";
+  std::size_t fields = 0;
+  for_each_field(block, [&](std::string_view name, auto value) {
+    ++fields;
+    EXPECT_NE(status.find(json_member(name, value)), std::string::npos)
+        << name;
+    const std::string series =
+        name == "sweeps_per_s" ? "health_walker_sweeps_per_second"
+                               : "health_walker_" + std::string(name);
+    EXPECT_NE(metrics.find(series + labels +
+                           json_number(static_cast<double>(value)) + "\n"),
+              std::string::npos)
+        << name;
+  });
+  EXPECT_EQ(fields, walker_field_names().size());
+
+  // Names that predate the shared field table stay put.
+  for (const char* key :
+       {"rank", "window", "sweeps", "sweeps_per_s", "flatness",
+        "best_flatness", "log_f", "f_stage", "acceptance", "round_trips",
+        "round_trip_mean_s", "energy", "local_proposed", "local_acceptance",
+        "vae_proposed", "vae_acceptance", "vae_decode_wait_ms",
+        "vae_decode_waits", "converged", "stalled", "seconds_since_improve",
+        "flatness_trajectory"})
+    EXPECT_NE(status.find('"' + std::string(key) + "\":"), std::string::npos)
+        << key;
+  for (const char* series :
+       {"flatness", "best_flatness", "log_f", "f_stage", "sweeps",
+        "sweeps_per_second", "acceptance", "round_trips",
+        "round_trip_mean_seconds", "local_acceptance", "vae_acceptance",
+        "converged", "stalled", "seconds_since_improve"})
+    EXPECT_NE(metrics.find("\n# TYPE health_walker_" + std::string(series) +
+                           " gauge\n"),
+              std::string::npos)
+        << series;
+}
+
+TEST_F(HttpObsTest, RoundTripMeanCountsOnlyTimeSinceLatestConfigure) {
+  auto& health = HealthRegistry::global();
+  health.configure(1, 1, 1, 0.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const Stopwatch since_second;
+  health.configure(1, 1, 1, 0.0);
+  WalkerBlock block;
+  block.round_trips = 1;
+  health.publish(health.walker_cell(0), block);
+  const double mean = health.snapshot().walkers.at(0).round_trip_mean_s;
+  EXPECT_GT(mean, 0.0);
+  EXPECT_LE(mean, since_second.seconds());
+}
+
+/// Local swaps that report a fixed set of kernel-telemetry pairs.
+class ReportingSwap final : public mc::Proposal {
+ public:
+  ReportingSwap(const lattice::EpiHamiltonian& ham,
+                std::vector<std::pair<std::string, double>> report)
+      : swap_(ham), report_(std::move(report)) {}
+  mc::ProposalResult propose(lattice::Configuration& cfg,
+                             units::Energy current_energy,
+                             mc::Rng& rng) override {
+    return swap_.propose(cfg, current_energy, rng);
+  }
+  void revert(lattice::Configuration& cfg) override { swap_.revert(cfg); }
+  [[nodiscard]] std::string name() const override { return "reporting"; }
+  [[nodiscard]] std::vector<std::pair<std::string, double>> telemetry()
+      const override {
+    return report_;
+  }
+
+ private:
+  mc::LocalSwapProposal swap_;
+  std::vector<std::pair<std::string, double>> report_;
+};
+
+/// Keeps every rewl_walker event; walker threads emit concurrently.
+class CaptureSink final : public Sink {
+ public:
+  explicit CaptureSink(std::shared_ptr<std::vector<Event>> events)
+      : events_(std::move(events)) {}
+  void write(const Event& event) override {
+    if (event.type != "rewl_walker") return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    events_->push_back(event);
+  }
+  void flush() override {}
+
+ private:
+  std::mutex mutex_;
+  std::shared_ptr<std::vector<Event>> events_;
+};
+
+par::RewlResult small_rewl(
+    const std::vector<std::pair<std::string, double>>& report) {
+  const lattice::Lattice lat =
+      lattice::Lattice::create(lattice::LatticeType::kBCC, 2, 2, 2, 1);
+  const lattice::EpiHamiltonian ham = lattice::epi_ising(1.0);
+  par::RewlOptions opts;
+  opts.n_windows = 2;
+  opts.walkers_per_window = 1;
+  opts.wl.log_f_final = 1e-2;
+  opts.exchange_interval = 25;
+  opts.max_sweeps = 200;
+  opts.seed = 7;
+  return par::run_rewl(ham, lat, 2, mc::EnergyGrid(-14.0, 14.0, 100), opts,
+                       [&](int) {
+                         return std::make_shared<ReportingSwap>(ham, report);
+                       });
+}
+
+TEST_F(HttpObsTest, RewlWalkerEventCarriesEveryWalkerField) {
+  auto events = std::make_shared<std::vector<Event>>();
+  Telemetry::instance().add_sink(std::make_unique<CaptureSink>(events));
+  small_rewl({{"vae_proposed", 12.0}, {"vae_acceptance", 0.25}});
+  Telemetry::instance().disable();
+
+  ASSERT_FALSE(events->empty());
+  const Event& event = events->front();
+  // "ts" first, then the table in order.
+  const std::vector<std::string_view> names = walker_field_names();
+  ASSERT_EQ(event.fields.size(), names.size() + 1);
+  for (std::size_t i = 0; i < names.size(); ++i)
+    EXPECT_EQ(event.fields[i + 1].first, names[i]);
+  const std::string json = event_to_json(event);
+  EXPECT_NE(json.find("\"vae_proposed\":12,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"vae_acceptance\":0.25,"), std::string::npos)
+      << json;
+}
+
+TEST_F(HttpObsTest, UnknownKernelTelemetryKeyFailsLoudly) {
+  WalkerBlock block;
+  EXPECT_THROW(set_field(block, "local_accept", 0.5), Error);
+  EXPECT_THROW(small_rewl({{"local_accept", 0.5}}), Error);
 }
 
 }  // namespace
