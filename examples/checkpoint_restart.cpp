@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   };
 
   const std::string resume_path = cfg.get_string("resume", "");
+  cfg.require_all_read();
   mc::LocalSwapProposal kernel(ham);
 
   if (!resume_path.empty()) {

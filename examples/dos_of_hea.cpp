@@ -26,6 +26,8 @@ int main(int argc, char** argv) {
   options.rewl.max_sweeps = cfg.get_int("max_sweeps", 300000);
   options.rewl.wl.log_f_final = cfg.get_double("log_f_final", 1e-4);
   options.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 5));
+  const std::string save_path = cfg.get_string("save", "");
+  cfg.require_all_read();
 
   auto framework = core::Framework::nbmotaw(options);
   const double n_atoms = framework.lattice_ref().num_sites();
@@ -39,7 +41,7 @@ int main(int argc, char** argv) {
   for (std::int32_t b = 0; b < result.grid.n_bins(); ++b) {
     if (!result.dos.visited(b)) continue;
     std::printf("%6d %12.4f %14.4f\n", b, result.grid.energy(b),
-                result.dos.log_g(b));
+                result.dos.log_g(b).value());
   }
 
   const double span = result.dos.log_range();
@@ -49,7 +51,6 @@ int main(int argc, char** argv) {
               span / n_atoms * 8192.0);
   std::printf("converged: %s\n", result.rewl.converged ? "yes" : "no");
 
-  const std::string save_path = cfg.get_string("save", "");
   if (!save_path.empty()) {
     std::ofstream out(save_path);
     result.dos.save(out);

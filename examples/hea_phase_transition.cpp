@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   options.rewl.max_sweeps = cfg.get_int("max_sweeps", 300000);
   options.rewl.wl.log_f_final = cfg.get_double("log_f_final", 1e-4);
   options.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 11));
+  cfg.require_all_read();
 
   auto framework = core::Framework::nbmotaw(options);
   const double n = framework.lattice_ref().num_sites();

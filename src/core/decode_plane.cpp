@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "obs/health.hpp"
+#include "obs/metrics.hpp"
 
 namespace dt::core {
 

@@ -90,6 +90,16 @@ mc::EnergyGrid build_grid(const lattice::EpiHamiltonian& hamiltonian,
   // would index the Hamiltonian's coupling table out of bounds.
   DT_CHECK_MSG(hamiltonian.n_species() == options.n_species,
                "Hamiltonian species count does not match options");
+  // A bad REWL layout would otherwise surface only after pretraining,
+  // from run_rewl or from a kernel built on a rank thread.
+  DT_CHECK_MSG(options.global_fraction >= 0.0 && options.global_fraction <= 1.0,
+               "global_fraction must be in [0, 1], got "
+                   << options.global_fraction);
+  DT_CHECK_MSG(options.rewl.walkers_per_window >= 1,
+               "walkers_per_window must be >= 1, got "
+                   << options.rewl.walkers_per_window);
+  (void)par::make_windows(options.n_bins, options.rewl.n_windows,
+                          options.rewl.overlap);
   mc::Rng rng(options.seed, stream_id(0xE0, 0));
   lattice::Configuration cfg =
       lattice::random_configuration(lat, options.n_species, rng);
@@ -638,16 +648,16 @@ DeepThermoResult Framework::run() {
   result.dos.normalize(units::LogWeight(log_total_states()));
   obs::HealthRegistry::global().set_phase("done");
 
-  obs::Telemetry& telemetry = obs::Telemetry::instance();
-  if (telemetry.enabled()) {
-    auto& metrics = telemetry.metrics();
+  if (obs::instrumentation_active()) {
+    auto& metrics = obs::MetricsRegistry::global();
     metrics.gauge("run.pretrain_seconds").set(result.pretrain_seconds);
     metrics.gauge("run.sample_seconds").set(result.sample_seconds);
     metrics.gauge("run.production_seconds").set(result.production_seconds);
     metrics.gauge("run.total_sweeps")
         .set(static_cast<double>(result.rewl.total_sweeps));
-    telemetry.finish();
   }
+  obs::Telemetry& telemetry = obs::Telemetry::instance();
+  if (telemetry.enabled()) telemetry.finish();
   return result;
 }
 

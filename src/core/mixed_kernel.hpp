@@ -10,7 +10,6 @@
 
 #include "core/vae_proposal.hpp"
 #include "mc/proposal.hpp"
-#include "obs/metrics.hpp"
 
 namespace dt::core {
 
@@ -37,8 +36,8 @@ class DeepThermoProposal final : public mc::Proposal {
   void revert(lattice::Configuration& cfg) override;
   [[nodiscard]] std::string name() const override { return "deepthermo"; }
 
-  /// Per-component acceptance split for the per-walker record; the keys
-  /// are obs::WalkerBlock field names.
+  /// Per-component acceptance split and the VAE work counts for the
+  /// per-walker record; the keys are obs::WalkerBlock field names.
   [[nodiscard]] std::vector<std::pair<std::string, double>> telemetry()
       const override;
 
@@ -68,12 +67,6 @@ class DeepThermoProposal final : public mc::Proposal {
   double global_fraction_;
   bool last_was_global_ = false;
   KernelStats local_stats_;
-  // Global proposal-outcome counters (shared across walkers); resolved
-  // once here so the hot path is a relaxed add gated on telemetry.
-  obs::Counter* local_proposed_total_;
-  obs::Counter* local_reverted_total_;
-  obs::Counter* vae_proposed_total_;
-  obs::Counter* vae_reverted_total_;
 };
 
 }  // namespace dt::core

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "core/decode_plane.hpp"
-#include "obs/telemetry.hpp"
 
 namespace dt::core {
 
@@ -42,15 +41,6 @@ VaeProposal::VaeProposal(const lattice::EpiHamiltonian& hamiltonian,
   DT_CHECK(vae_ != nullptr);
   remaining_.resize(static_cast<std::size_t>(vae_->options().n_species));
   candidate_.resize(static_cast<std::size_t>(vae_->options().n_sites));
-  auto& metrics = obs::MetricsRegistry::global();
-  decode_batches_ = &metrics.counter("kernel.vae.decode.batches");
-  decode_decoded_ = &metrics.counter("kernel.vae.decode.decoded");
-  decode_served_ = &metrics.counter("kernel.vae.decode.served");
-  delta_changed_sites_ = &metrics.counter("kernel.vae.delta.changed_sites");
-  delta_sparse_ = &metrics.counter("kernel.vae.delta.sparse");
-  delta_full_ = &metrics.counter("kernel.vae.delta.full");
-  audit_checks_ = &metrics.counter("kernel.vae.audit.checks");
-  audit_failures_ = &metrics.counter("kernel.vae.audit.failures");
 }
 
 VaeProposal::~VaeProposal() {
@@ -224,10 +214,7 @@ void VaeProposal::refill(const std::array<std::uint32_t, 2>& physics_key) {
   }
   buffer_fill_ = decode_batch_;
   buffer_pos_ = 0;
-  if (obs::Telemetry::instance().enabled()) {
-    decode_batches_->add();
-    decode_decoded_->add(static_cast<std::uint64_t>(decode_batch_));
-  }
+  work_.decoded += static_cast<std::uint64_t>(decode_batch_);
 }
 
 mc::ProposalResult VaeProposal::propose(Configuration& cfg,
@@ -366,8 +353,6 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
   // close to the current state (the trained-VAE regime); a full
   // recompute is cheaper once more than half the sites change, because
   // the sparse walk visits changed sites' bonds from both endpoints.
-  const bool telem = obs::Telemetry::instance().enabled();
-
   double delta_energy;
   if (2 * n_changed <= n) {
     const bool audit_due =
@@ -382,29 +367,21 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
       const double err =
           std::abs((full_after - full_before) - delta_energy);
       const double tol = 1e-9 * std::max(1.0, std::abs(full_after));
-      if (telem) audit_checks_->add();
-      if (err > tol) {
-        if (telem) audit_failures_->add();
-        DT_CHECK_MSG(false, "assign_delta audit failed: |"
-                                << (full_after - full_before) << " - "
-                                << delta_energy << "| = " << err << " > "
-                                << tol);
-      }
+      DT_CHECK_MSG(err <= tol, "assign_delta audit failed: |"
+                                   << (full_after - full_before) << " - "
+                                   << delta_energy << "| = " << err << " > "
+                                   << tol);
     }
-    if (telem) delta_sparse_->add();
+    ++work_.sparse;
   } else {
     cfg.assign(candidate_);
     delta_energy = hamiltonian_->total_energy(cfg) - current_energy.value();
-    if (telem) delta_full_->add();
   }
 
   ++buffer_pos_;
   ++served_;
   ++stats_.proposed;
-  if (telem) {
-    decode_served_->add();
-    delta_changed_sites_->add(n_changed);
-  }
+  work_.changed_sites += n_changed;
 
   // Double-buffered prefetch: the first served row pinned last_probs()
   // into the active buffer, so the inactive half is now free -- enqueue

@@ -63,7 +63,6 @@
 #include "common/units.hpp"
 #include "mc/proposal.hpp"
 #include "nn/vae.hpp"
-#include "obs/metrics.hpp"
 
 namespace dt::core {
 
@@ -80,6 +79,15 @@ struct VaeProposalStats {
                : 1.0 - static_cast<double>(reverted) /
                            static_cast<double>(proposed);
   }
+};
+
+/// What the kernel did, for the walker record (vae_decoded, vae_sparse,
+/// vae_changed_sites). Kept apart from VaeProposalStats so checkpoints
+/// do not carry it: the counts restart at zero on resume.
+struct VaeWorkCounts {
+  std::uint64_t decoded = 0;        ///< latent rows decoded
+  std::uint64_t sparse = 0;         ///< proposals priced by the sparse delta
+  std::uint64_t changed_sites = 0;  ///< sites changed, summed over proposals
 };
 
 class VaeProposal final : public mc::Proposal {
@@ -110,6 +118,7 @@ class VaeProposal final : public mc::Proposal {
   [[nodiscard]] bool is_global() const override { return true; }
 
   [[nodiscard]] const VaeProposalStats& stats() const { return stats_; }
+  [[nodiscard]] const VaeWorkCounts& work() const { return work_; }
   [[nodiscard]] nn::Vae& vae() { return *vae_; }
 
   /// Conditional models: fix the decoder condition for this walker
@@ -158,8 +167,7 @@ class VaeProposal final : public mc::Proposal {
 
   /// Audit cadence: cross-check the sparse delta against total_energy
   /// every `interval` proposals (0 disables). A disagreement beyond
-  /// 1e-9 * max(1, |E|) aborts via DT_CHECK and counts in the
-  /// kernel.vae.audit.failures metric.
+  /// 1e-9 * max(1, |E|) aborts via DT_CHECK, naming both energies.
   void set_audit_interval(std::uint64_t interval) {
     audit_interval_ = interval;
   }
@@ -204,6 +212,7 @@ class VaeProposal final : public mc::Proposal {
   const lattice::EpiHamiltonian* hamiltonian_;
   std::shared_ptr<nn::Vae> vae_;
   VaeProposalStats stats_;
+  VaeWorkCounts work_;
   std::vector<std::uint8_t> saved_;   // pre-proposal occupancy for revert
   std::vector<float> condition_;      // fixed decoder condition
 
@@ -234,16 +243,6 @@ class VaeProposal final : public mc::Proposal {
   lattice::DeltaWorkspace delta_ws_;
 
   std::uint64_t audit_interval_ = kDefaultAuditInterval;
-
-  // Shared metric handles (resolved once; adds gated on telemetry).
-  obs::Counter* decode_batches_;
-  obs::Counter* decode_decoded_;
-  obs::Counter* decode_served_;
-  obs::Counter* delta_changed_sites_;
-  obs::Counter* delta_sparse_;
-  obs::Counter* delta_full_;
-  obs::Counter* audit_checks_;
-  obs::Counter* audit_failures_;
 };
 
 }  // namespace dt::core

@@ -221,9 +221,10 @@ TrainReport Trainer::fit(const ConfigDataset& dataset, const EpochHook& hook,
     report.final_reconstruction = last_recon;
     report.final_kl = last_kl;
 
+    if (obs::instrumentation_active())
+      obs::MetricsRegistry::global().counter("train.epochs").add();
     obs::Telemetry& telemetry = obs::Telemetry::instance();
     if (telemetry.enabled()) {
-      telemetry.metrics().counter("train.epochs").add();
       telemetry.emit(obs::Event("train_epoch")
                          .with("epoch", static_cast<std::int64_t>(epoch))
                          .with("loss", static_cast<double>(mean_loss))

@@ -15,8 +15,6 @@ namespace dt::obs {
 
 namespace {
 
-std::atomic<int> g_instrumentation_depth{0};
-
 template <typename T>
 T from_telemetry(double value) {
   if constexpr (std::is_same_v<T, Flag>)
@@ -26,18 +24,6 @@ T from_telemetry(double value) {
 }
 
 }  // namespace
-
-bool instrumentation_active() {
-  return g_instrumentation_depth.load(std::memory_order_relaxed) > 0;
-}
-
-void instrumentation_retain() {
-  g_instrumentation_depth.fetch_add(1, std::memory_order_relaxed);
-}
-
-void instrumentation_release() {
-  g_instrumentation_depth.fetch_sub(1, std::memory_order_relaxed);
-}
 
 void set_field(WalkerBlock& block, std::string_view name, double value) {
 #define DT_WALKER_ASSIGN(type, field, init)      \

@@ -30,14 +30,6 @@
 
 namespace dt::obs {
 
-/// Process-wide "someone is watching" gate: true while telemetry sinks
-/// or at least one observability HTTP server are live. Hot paths gate
-/// their shared-counter updates on it so a dark run costs one relaxed
-/// load per instrumented site.
-[[nodiscard]] bool instrumentation_active();
-void instrumentation_retain();
-void instrumentation_release();
-
 /// Eight-byte boolean: keeps WalkerBlock free of padding, so the health
 /// cell can hold the record as whole 64-bit words.
 enum class Flag : std::uint64_t { kNo = 0, kYes = 1 };
@@ -67,6 +59,11 @@ enum class Flag : std::uint64_t { kNo = 0, kYes = 1 };
   X(double, local_acceptance, 0.0)                                      \
   X(std::uint64_t, vae_proposed, 0)                                     \
   X(double, vae_acceptance, 0.0)                                        \
+  /* VAE rows decoded, sparse-delta proposals and changed sites, */     \
+  /* counted since the kernel was built (not checkpointed) */           \
+  X(std::uint64_t, vae_decoded, 0)                                      \
+  X(std::uint64_t, vae_sparse, 0)                                       \
+  X(std::uint64_t, vae_changed_sites, 0)                                \
   /* DecodePlane::wait total ms and count; 0 without a plane */        \
   X(double, vae_decode_wait_ms, 0.0)                                    \
   X(std::uint64_t, vae_decode_waits, 0)                                 \

@@ -15,7 +15,8 @@
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "obs/exposition.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/health.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dt::obs {
@@ -194,9 +195,8 @@ void HttpServer::start() {
 
   running_.store(true, std::memory_order_relaxed);
   g_active_servers.fetch_add(1, std::memory_order_relaxed);
-  instrumentation_retain();
   // Spans feed /trace and the /status quantiles even without a sink.
-  TraceRecorder::global().set_enabled(true);
+  instrumentation_retain();
   thread_ = std::thread([this] { accept_loop(); });
   DT_LOG_INFO << "obs http: serving /metrics /status /healthz /trace on "
               << options_.bind << ":" << port_;
@@ -215,10 +215,6 @@ void HttpServer::stop() {
   wake_pipe_[0] = wake_pipe_[1] = -1;
   instrumentation_release();
   g_active_servers.fetch_sub(1, std::memory_order_relaxed);
-  // Leave span recording on when a telemetry sink (or another server)
-  // still wants it.
-  if (!Telemetry::instance().enabled() && active_count() == 0)
-    TraceRecorder::global().set_enabled(false);
 }
 
 void HttpServer::accept_loop() {

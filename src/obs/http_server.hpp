@@ -14,9 +14,9 @@
 //             (load in chrome://tracing or Perfetto). Draining is
 //             destructive and shared with Telemetry::flush_spans.
 //
-// Starting a server retains the instrumentation gate (see
-// obs::instrumentation_active) and enables span recording, so a run
-// scraped over HTTP needs no telemetry sink.
+// Starting a server retains the instrumentation switch (see
+// obs::instrumentation_active), which also turns span recording on, so
+// a run scraped over HTTP needs no telemetry sink.
 #pragma once
 
 #include <atomic>

@@ -8,6 +8,22 @@
 
 namespace dt::obs {
 
+namespace {
+std::atomic<int> g_instrumentation_depth{0};
+}  // namespace
+
+bool instrumentation_active() {
+  return g_instrumentation_depth.load(std::memory_order_relaxed) > 0;
+}
+
+void instrumentation_retain() {
+  g_instrumentation_depth.fetch_add(1, std::memory_order_relaxed);
+}
+
+void instrumentation_release() {
+  g_instrumentation_depth.fetch_sub(1, std::memory_order_relaxed);
+}
+
 FixedHistogram::FixedHistogram(double lo, double hi, std::int32_t n_buckets)
     : lo_(lo),
       hi_(hi),

@@ -27,6 +27,15 @@
 
 namespace dt::obs {
 
+/// The process-wide "someone is watching" switch: true while a
+/// telemetry sink or at least one observability HTTP server is live
+/// (each retains it once). Registry updates outside the walker record,
+/// span recording and the REWL heartbeat gate on it, so a dark run
+/// costs one relaxed load per instrumented site.
+[[nodiscard]] bool instrumentation_active();
+void instrumentation_retain();
+void instrumentation_release();
+
 class Counter {
  public:
   void add(std::uint64_t n = 1) {

@@ -2,7 +2,6 @@
 
 #include "common/json.hpp"
 #include "common/log.hpp"
-#include "obs/health.hpp"
 
 namespace dt::obs {
 
@@ -26,9 +25,8 @@ void Telemetry::add_sink(std::unique_ptr<Sink> sink) {
     MutexLock lock(mutex_);
     sinks_.push_back(std::move(sink));
   }
-  TraceRecorder::global().set_enabled(true);
-  // One retain per off->on transition; hot paths gate shared-counter
-  // updates on instrumentation_active() (telemetry OR HTTP servers).
+  // One retain per off->on transition: instrumentation_active() (spans,
+  // registry updates) stays on while a sink or an HTTP server is live.
   if (!enabled_.exchange(true, std::memory_order_relaxed))
     instrumentation_retain();
 }
@@ -36,7 +34,6 @@ void Telemetry::add_sink(std::unique_ptr<Sink> sink) {
 void Telemetry::disable() {
   if (enabled_.exchange(false, std::memory_order_relaxed))
     instrumentation_release();
-  TraceRecorder::global().set_enabled(false);
   MutexLock lock(mutex_);
   for (auto& sink : sinks_) sink->flush();
   sinks_.clear();
@@ -71,7 +68,7 @@ void Telemetry::snapshot_metrics() {
   if (!enabled()) return;
   const std::uint64_t seq =
       snapshot_seq_.fetch_add(1, std::memory_order_relaxed);
-  const MetricsSnapshot snap = metrics().snapshot();
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
   for (const auto& [name, value] : snap.counters) {
     emit(Event("metric")
              .with("seq", seq)

@@ -4,9 +4,12 @@
 //   ... instrumented code emits events / bumps metrics / opens spans ...
 //   obs::Telemetry::instance().finish();              // spans+snapshot+flush
 //
-// Disabled (the default) every entry point is a relaxed atomic load and
-// an early return, so instrumentation can stay compiled into hot paths.
-// All methods are thread-safe; REWL walker threads emit concurrently.
+// enabled() only says whether a sink is open, i.e. whether to build an
+// Event at all; registry updates and span recording follow
+// obs::instrumentation_active(), which an open sink retains. Disabled
+// (the default) every entry point is a relaxed atomic load and an early
+// return. All methods are thread-safe; REWL walker threads emit
+// concurrently.
 #pragma once
 
 #include <atomic>
@@ -27,21 +30,17 @@ class Telemetry {
   static Telemetry& instance();
 
   /// Open a sink at `path` -- a ".csv" suffix selects the CSV sink
-  /// family, anything else JSONL -- then turn on event emission and span
-  /// recording. Repeated calls add sinks.
+  /// family, anything else JSONL -- then turn on event emission and
+  /// retain the instrumentation switch. Repeated calls add sinks.
   void enable(const std::string& path);
   void add_sink(std::unique_ptr<Sink> sink);
 
-  /// Flush and drop all sinks, stop span recording.
+  /// Flush and drop all sinks and release the instrumentation switch
+  /// (spans keep recording while an HTTP server holds it).
   void disable();
 
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// The registry the built-in instrumentation publishes into.
-  [[nodiscard]] MetricsRegistry& metrics() const {
-    return MetricsRegistry::global();
   }
 
   /// Stamp the event with a "ts" field and write it to every sink.

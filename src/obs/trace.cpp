@@ -23,10 +23,6 @@ std::int64_t steady_ns() {
 
 TraceRecorder::TraceRecorder() : epoch_ns_(steady_ns()) {}
 
-void TraceRecorder::set_enabled(bool on) {
-  enabled_.store(on, std::memory_order_relaxed);
-}
-
 double TraceRecorder::now_s() const {
   return static_cast<double>(steady_ns() - epoch_ns_) * 1e-9;
 }
@@ -82,7 +78,7 @@ TraceRecorder& TraceRecorder::global() {
 }
 
 ScopedSpan::ScopedSpan(std::string name)
-    : active_(TraceRecorder::global().enabled()) {
+    : active_(instrumentation_active()) {
   if (!active_) return;
   name_ = std::move(name);
   depth_ = t_span_depth++;

@@ -6,8 +6,9 @@
 // Spans land in per-thread buffers (one mutex acquisition per completed
 // span, never contended in steady state) and are collected with
 // TraceRecorder::drain(), which merges all threads' buffers sorted by
-// start time. Recording is off by default; ScopedSpan costs one relaxed
-// atomic load when disabled. Timebase: seconds on the steady clock since
+// start time. Spans record while obs::instrumentation_active() (a
+// telemetry sink or an HTTP server is live); otherwise ScopedSpan costs
+// one relaxed atomic load. Timebase: seconds on the steady clock since
 // the recorder's construction (epoch_offset_s lets sinks reconstruct the
 // wall-clock start).
 #pragma once
@@ -36,11 +37,6 @@ class TraceRecorder {
   TraceRecorder();
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  void set_enabled(bool on);
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
 
   /// Append a completed span to the calling thread's buffer. Buffers are
   /// bounded (kMaxSpansPerThread); excess spans are counted as dropped.
@@ -73,7 +69,6 @@ class TraceRecorder {
 
   ThreadBuffer& local_buffer();
 
-  std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> dropped_{0};
   std::int64_t epoch_ns_;  ///< steady-clock time at construction
   Mutex buffers_mutex_;
@@ -83,7 +78,7 @@ class TraceRecorder {
 };
 
 /// RAII span: samples the clock on entry, records on exit. Inert (and
-/// nearly free) when the global recorder is disabled at entry.
+/// nearly free) when instrumentation is inactive at entry.
 class ScopedSpan {
  public:
   explicit ScopedSpan(std::string name);

@@ -8,10 +8,10 @@ namespace dt::par {
 
 std::vector<Window> make_windows(std::int32_t n_bins, int n_windows,
                                  double overlap) {
-  DT_CHECK(n_bins >= 1);
-  DT_CHECK(n_windows >= 1);
+  DT_CHECK_MSG(n_bins >= 1, "n_bins must be >= 1, got " << n_bins);
+  DT_CHECK_MSG(n_windows >= 1, "n_windows must be >= 1, got " << n_windows);
   DT_CHECK_MSG(overlap >= 0.0 && overlap < 1.0,
-               "overlap fraction must be in [0, 1)");
+               "overlap must be in [0, 1), got " << overlap);
   if (n_windows == 1) return {Window{0, n_bins - 1}};
 
   // n_bins = w + (n_windows - 1) * w * (1 - overlap)  =>  solve for w.

@@ -16,7 +16,7 @@
 #include "lattice/configuration.hpp"
 #include "mc/proposal.hpp"
 #include "obs/health.hpp"
-#include "obs/progress.hpp"
+#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
@@ -85,7 +85,6 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
   Stopwatch wall;
 
   obs::Telemetry& telemetry = obs::Telemetry::instance();
-  obs::ProgressReporter progress(options.progress_interval_seconds);
 
   // Health plane: sized before the walker threads start so each rank can
   // resolve a stable cell handle. Publishing is always on (one batch of
@@ -121,6 +120,7 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
     std::int64_t round = 0;
     std::int64_t last_saved_round = -1;
     Stopwatch save_throttle;  // rank 0: time since the last periodic save
+    Stopwatch heartbeat;      // rank 0: time since the last progress line
 
     // Resume: restore the walker mid-run from its rank component instead
     // of seeking into the window; the round counter (hence the exchange
@@ -172,14 +172,6 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
       resume_stream.reset();
     }
 
-    // Per-walker telemetry cadence: one time-series event per exchange
-    // block, plus shared exchange counters in the global registry.
-    auto& metrics = obs::MetricsRegistry::global();
-    obs::Counter& rounds_total = metrics.counter("rewl.rounds");
-    obs::Counter& exch_attempted_total =
-        metrics.counter("rewl.exchange.attempted");
-    obs::Counter& exch_accepted_total =
-        metrics.counter("rewl.exchange.accepted");
     const std::shared_ptr<obs::WalkerHealthCell> health_cell =
         health.walker_cell(rank);
 
@@ -326,7 +318,6 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
               walker.log_g_at(units::Energy(e_y));
 
           ++exch.attempted;
-          if (obs::instrumentation_active()) exch_attempted_total.add();
           bool accept = false;
           if (std::isfinite(lgi_ey.value()) && std::isfinite(lgj_ex)) {
             // ln A = [ln g_i(E_x) - ln g_i(E_y)] + [ln g_j(E_y) - ln g_j(E_x)]
@@ -343,7 +334,6 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
                                         accept ? 1 : 0);
           if (accept) {
             ++exch.accepted;
-            if (obs::instrumentation_active()) exch_accepted_total.add();
             comm.send<std::uint8_t>(
                 partner, kTagConfigUp,
                 std::span<const std::uint8_t>(
@@ -378,7 +368,7 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
         }
       }
 
-      // ---- health publish (always on) + optional telemetry event ----
+      // ---- health publish (always on), telemetry event, heartbeat ----
       {
         obs::WalkerBlock block = make_block();
         const double block_s = block_clock.seconds();
@@ -393,27 +383,31 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
           block.partner_window = is_lower ? window_id + 1 : window_id - 1;
         health.publish(health_cell, block);
 
-        if (obs::instrumentation_active()) {
-          rounds_total.add();
-          if (telemetry.enabled()) {
-            obs::Event event("rewl_walker");
-            obs::for_each_field(block, [&](std::string_view name,
-                                           auto value) {
-              event.with(std::string(name), value);
-            });
-            telemetry.emit(std::move(event));
-          }
+        if (telemetry.enabled()) {
+          obs::Event event("rewl_walker");
+          obs::for_each_field(block, [&](std::string_view name, auto value) {
+            event.with(std::string(name), value);
+          });
+          telemetry.emit(std::move(event));
+        }
 
-          if (rank == 0) {
-            health.evaluate();  // watchdog heartbeat, once per round
-            progress.poll([&] {
-              std::ostringstream os;
-              os << "rewl: round " << block.round << ", sweeps "
-                 << block.sweeps << ", ln f " << block.log_f
-                 << ", flatness " << block.flatness << ", acc "
-                 << block.acceptance;
-              return os.str();
-            });
+        if (rank == 0) {
+          const bool watched = obs::instrumentation_active();
+          // The watchdog runs every round whenever a stall budget is set,
+          // watched or dark; a watched run also refreshes the gauge.
+          if (options.watchdog_stall_seconds > 0.0 || watched)
+            health.evaluate();
+          if (watched &&
+              heartbeat.seconds() >= options.progress_interval_seconds) {
+            heartbeat.reset();
+            DT_LOG_INFO << "rewl: round " << block.round << ", sweeps "
+                        << block.sweeps << ", ln f " << block.log_f
+                        << ", flatness " << block.flatness << ", acc "
+                        << block.acceptance;
+            const std::string digest = health.summary_line();
+            if (!digest.empty()) DT_LOG_INFO << digest;
+            telemetry.snapshot_metrics();  // no-ops without a sink
+            telemetry.flush();
           }
         }
       }

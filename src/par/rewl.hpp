@@ -40,13 +40,15 @@ struct RewlOptions {
   std::int64_t max_sweeps = 200000;      ///< per-walker cap
   std::int64_t seek_sweeps = 2000;       ///< cap for driving into windows
   std::uint64_t seed = 42;
-  /// Heartbeat cadence of the progress reporter (active only while
-  /// telemetry or the observability HTTP server is enabled; see src/obs).
+  /// Cadence of rank 0's progress line (logged only while
+  /// obs::instrumentation_active(): a telemetry sink or the
+  /// observability HTTP server is live).
   double progress_interval_seconds = 5.0;
   /// Sampling-health watchdog: flag a walker stalled when its flatness
   /// ratio has not improved within its current ln f stage for this many
-  /// wall-clock seconds (<= 0 disables). Verdicts surface via GET
-  /// /healthz, the health.stalled_walkers gauge and a WARN log.
+  /// wall-clock seconds (<= 0 disables). Evaluated every round, dark
+  /// runs included; verdicts surface via GET /healthz, the
+  /// health.stalled_walkers gauge and a WARN log.
   double watchdog_stall_seconds = 0.0;
 
   [[nodiscard]] int total_ranks() const {

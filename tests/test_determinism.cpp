@@ -55,7 +55,7 @@ DeepThermoOptions tiny_options() {
   opts.rewl.wl.log_f_final = 3e-2;
   opts.rewl.exchange_interval = 10;
   opts.rewl.max_sweeps = 250000;
-  // The progress reporter fires on wall-clock time; push it out of reach
+  // The progress line fires on wall-clock time; push it out of reach
   // so neither its snapshots nor its events depend on machine speed.
   opts.rewl.progress_interval_seconds = 1e9;
   opts.retrain_every_rounds = 4;

@@ -171,6 +171,33 @@ TEST(Framework, CustomHamiltonianSupported) {
   EXPECT_NEAR(fw.log_total_states(), std::log(12870.0), 1e-9);
 }
 
+// A bad REWL layout fails in the constructor, before the range quench
+// and pretraining, with a message naming the option.
+TEST(Framework, BadRewlLayoutThrowsFromTheConstructor) {
+  const auto expect_rejected = [](const char* option,
+                                  void (*set)(DeepThermoOptions&)) {
+    DeepThermoOptions opts = tiny_options();
+    set(opts);
+    try {
+      (void)Framework::nbmotaw(opts);
+      ADD_FAILURE() << option << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+          << e.what();
+    }
+  };
+  using O = DeepThermoOptions;
+  expect_rejected("overlap", [](O& o) { o.rewl.overlap = 1.0; });
+  expect_rejected("overlap", [](O& o) { o.rewl.overlap = -0.1; });
+  expect_rejected("n_windows", [](O& o) { o.rewl.n_windows = 0; });
+  expect_rejected("n_bins", [](O& o) { o.n_bins = 4; });  // windows < 4 bins
+  expect_rejected("n_bins", [](O& o) { o.n_bins = 0; });
+  expect_rejected("global_fraction", [](O& o) { o.global_fraction = 1.5; });
+  expect_rejected("global_fraction", [](O& o) { o.global_fraction = -0.1; });
+  expect_rejected("walkers_per_window",
+                  [](O& o) { o.rewl.walkers_per_window = 0; });
+}
+
 TEST(Framework, MismatchedSpeciesCountThrows) {
   auto opts = tiny_options();
   opts.n_species = 3;  // Hamiltonian below has 2

@@ -23,6 +23,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/stopwatch.hpp"
+#include "core/framework.hpp"
 #include "mc/proposal.hpp"
 #include "obs/exposition.hpp"
 #include "obs/health.hpp"
@@ -419,6 +420,70 @@ TEST_F(HttpObsTest, UnknownKernelTelemetryKeyFailsLoudly) {
   WalkerBlock block;
   EXPECT_THROW(set_field(block, "local_accept", 0.5), Error);
   EXPECT_THROW(small_rewl({{"local_accept", 0.5}}), Error);
+}
+
+/// Sum of every sample of `series` in a Prometheus exposition.
+double sample_sum(const std::string& exposition, const std::string& series) {
+  double sum = 0.0;
+  std::size_t pos = 0;
+  while ((pos = exposition.find('\n' + series, pos)) != std::string::npos) {
+    pos += 1 + series.size();
+    if (exposition[pos] != '{' && exposition[pos] != ' ') continue;
+    const std::size_t value = exposition.find(' ', pos) + 1;
+    sum += std::stod(exposition.substr(value));
+  }
+  return sum;
+}
+
+// With only an HTTP server live (no telemetry sink), the VAE work counts
+// reach /metrics through the walker record and pretraining's epoch
+// counter is kept.
+TEST_F(HttpObsTest, HttpOnlyRunExposesVaeWorkAndTrainEpochs) {
+  ASSERT_FALSE(Telemetry::instance().enabled());
+  HttpServer server;
+  server.start();
+
+  core::DeepThermoOptions opts;
+  opts.lattice.nx = opts.lattice.ny = opts.lattice.nz = 2;  // 16 sites
+  opts.n_bins = 40;
+  opts.pretrain.n_temperatures = 3;
+  opts.pretrain.equilibration_sweeps = 10;
+  opts.pretrain.samples_per_temperature = 16;
+  opts.vae.hidden = 24;
+  opts.vae.latent = 4;
+  opts.vae.epochs = 3;
+  opts.global_fraction = 0.5;
+  opts.rewl.wl.log_f_final = 1e-2;
+  opts.rewl.exchange_interval = 25;
+  opts.rewl.max_sweeps = 2000;
+  opts.seed = 5;
+  core::Framework fw = core::Framework::nbmotaw(opts);
+  (void)fw.run();
+
+  const std::string metrics = http_get(server.port(), "/metrics");
+  server.stop();
+  EXPECT_GT(sample_sum(metrics, "health_walker_vae_decoded"), 0.0);
+  EXPECT_GT(sample_sum(metrics, "health_walker_vae_sparse"), 0.0);
+  EXPECT_GT(sample_sum(metrics, "health_walker_vae_changed_sites"), 0.0);
+  EXPECT_EQ(sample_sum(metrics, "train_epochs"), 3.0);
+  EXPECT_GT(sample_sum(metrics, "run_total_sweeps"), 0.0);
+}
+
+// Dropping the last sink leaves span recording to the live server.
+TEST_F(HttpObsTest, SpansOutliveTelemetryDisableWhileServerIsLive) {
+  HttpServer server;
+  server.start();
+  Telemetry::instance().add_sink(std::make_unique<CaptureSink>(
+      std::make_shared<std::vector<Event>>()));
+  Telemetry::instance().disable();
+  EXPECT_TRUE(instrumentation_active());
+  { DT_SPAN("after_disable"); }
+  const std::string status = http_get(server.port(), "/status");
+  EXPECT_NE(status.find("\"name\":\"after_disable\""), std::string::npos)
+      << status;
+  const std::string trace = http_get(server.port(), "/trace");
+  EXPECT_NE(trace.find("\"name\":\"after_disable\""), std::string::npos);
+  server.stop();
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "mc/proposal.hpp"
+#include "obs/health.hpp"
+#include "obs/metrics.hpp"
 #include "validate/oracle.hpp"
 
 namespace dt::par {
@@ -185,6 +187,27 @@ TEST(Rewl, RespectsMaxSweepsWhenUnconverged) {
   EXPECT_FALSE(result.converged);
   for (const auto& w : result.windows)
     EXPECT_LE(w.sweeps, 2 * (opts.max_sweeps + opts.exchange_interval));
+}
+
+// No telemetry sink and no HTTP server: the stall watchdog still runs
+// every round once a budget is set. The budget is far below one round's
+// wall time and the run never converges, so the final round's verdict
+// flags the walkers.
+TEST(Rewl, WatchdogFlagsStallsInADarkRun) {
+  ASSERT_FALSE(obs::instrumentation_active());
+  obs::HealthRegistry& health = obs::HealthRegistry::global();
+  health.reset();
+  const auto& ex = exact();
+  const mc::EnergyGrid grid(ex.e_min - 0.5, ex.e_max + 0.5, 130);
+  RewlOptions opts = fast_options();
+  opts.wl.log_f_final = 1e-12;
+  opts.max_sweeps = 500;
+  opts.watchdog_stall_seconds = 1e-9;
+  const auto result =
+      run_rewl(ex.ham, ex.lat, 2, grid, opts, local_factory(ex.ham));
+  EXPECT_FALSE(result.converged);
+  EXPECT_GT(health.snapshot().stalled_walkers, 0);
+  health.reset();
 }
 
 }  // namespace

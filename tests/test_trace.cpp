@@ -8,21 +8,23 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 
 namespace dt::obs {
 namespace {
 
 // Spans go through the global recorder (that is what DT_SPAN compiles
-// against); each test drains it and restores the enabled flag.
+// against); each test drains it and holds the instrumentation switch
+// for its duration.
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     TraceRecorder::global().drain();  // discard leftovers
-    TraceRecorder::global().set_enabled(true);
+    instrumentation_retain();
   }
   void TearDown() override {
-    TraceRecorder::global().set_enabled(false);
+    instrumentation_release();
     TraceRecorder::global().drain();
   }
 };
@@ -75,8 +77,10 @@ TEST_F(TraceTest, ExplicitEndStopsTheClockEarly) {
 }
 
 TEST_F(TraceTest, DisabledRecorderRecordsNothing) {
-  TraceRecorder::global().set_enabled(false);
+  instrumentation_release();
+  ASSERT_FALSE(instrumentation_active());
   { DT_SPAN("invisible"); }
+  instrumentation_retain();
   EXPECT_TRUE(TraceRecorder::global().drain().empty());
 }
 
