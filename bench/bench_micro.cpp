@@ -46,9 +46,10 @@ void BM_TotalEnergy(benchmark::State& state) {
     benchmark::DoNotOptimize(sys.ham.total_energy(cfg));
   state.SetItemsProcessed(state.iterations() * sys.lat.num_sites());
 }
-BENCHMARK(BM_TotalEnergy)->Arg(4)->Arg(8);
+// {10} is N = 2000, the vae2000 scale.
+BENCHMARK(BM_TotalEnergy)->Arg(4)->Arg(8)->Arg(10);
 
-// Sparse changed-site energy walk vs the full recompute it replaces.
+// Sparse changed-site energy walk vs a full recompute.
 // range(1) = number of random swaps in the candidate (2 changed sites
 // each); compare against BM_TotalEnergy at the same cells.
 void BM_AssignDelta(benchmark::State& state) {
@@ -137,10 +138,10 @@ BENCHMARK(BM_VaeDecodeBatch)
     ->Args({10, 16})
     ->Args({10, 32});
 
-// Full mixed-kernel global move: decode (amortised over the decode-ahead
-// batch, range(1)) + constrained sequential sampling + reverse density +
-// sparse delta energy. {4, *} is the unit-test scale, {10, *} is N = 2000
-// (ISSUE 4's headline proposal-throughput target).
+// Full VAE global move: decode (amortised over the decode-ahead batch,
+// range(1)) + constrained sequential sampling with the reverse density
+// and the candidate's pair counts fused in + the energy of those counts.
+// {4, *} is the unit-test scale, {10, *} is N = 2000.
 void BM_VaeGlobalProposal(benchmark::State& state) {
   System sys(static_cast<int>(state.range(0)));
   auto vae = bench_vae(sys, 64, 16);

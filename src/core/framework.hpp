@@ -105,9 +105,10 @@ struct DeepThermoOptions {
   /// Max microseconds a plane leader waits for stragglers before serving
   /// a partial batch (see DecodePlane::Options::window_us).
   std::int64_t decode_plane_window_us = 200;
-  /// Sparse-delta audit cadence for the VAE kernel: cross-check the
-  /// changed-site energy walk against total_energy every this many
-  /// proposals (0 disables; < 0: keep the library default).
+  /// Energy audit cadence for the VAE kernel: check the candidate
+  /// energy counted during sampling against total_energy, bit for bit,
+  /// every this many proposals (0 disables; < 0: keep the library
+  /// default).
   std::int64_t vae_audit_interval = -1;
   /// Conditional-VAE extension: train the decoder conditioned on the
   /// (normalised) sample energy and fix each walker's condition to its

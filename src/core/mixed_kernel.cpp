@@ -53,7 +53,6 @@ std::vector<std::pair<std::string, double>> DeepThermoProposal::telemetry()
           {"vae_proposed", static_cast<double>(vs.proposed)},
           {"vae_acceptance", vs.acceptance_rate()},
           {"vae_decoded", static_cast<double>(work.decoded)},
-          {"vae_sparse", static_cast<double>(work.sparse)},
           {"vae_changed_sites", static_cast<double>(work.changed_sites)},
           // Decode-plane wait telemetry (zeros when no plane attached):
           // cumulative ms this walker spent blocked on fused decodes and

@@ -1,6 +1,8 @@
 #include "core/vae_proposal.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <istream>
 #include <ostream>
 
@@ -11,6 +13,7 @@
 namespace dt::core {
 
 using lattice::Configuration;
+using lattice::Species;
 
 namespace {
 
@@ -246,6 +249,16 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
   remaining_.assign(s, 0.0);
   for (std::uint8_t sp : saved_) remaining_[sp] += 1.0;
 
+  // The candidate's bonds are counted as it is sampled: once site i's
+  // species is picked, its bonds to the already-picked sites nb < i are
+  // final. Unpicked sites hold kUnset, which the counter skips; site i
+  // is counted before its own species is written.
+  lattice::PairCounter bonds(cfg.lattice(), cfg.n_species(),
+                             hamiltonian_->n_shells());
+  std::fill(candidate_.begin(), candidate_.end(),
+            lattice::PairCounter::kUnset);
+  Species* cand = candidate_.data();
+
   std::size_t n_changed = 0;
   double log_q_fwd = 0.0;
   double log_q_rev = 0.0;
@@ -288,7 +301,6 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
         log_q_fwd += std::log(run_fwd);
         run_fwd = 1.0;
       }
-      candidate_[i] = static_cast<std::uint8_t>(chosen);
       rem_f[chosen] -= 1.0;
 
       // Reverse: probability of re-drawing the saved species here.
@@ -304,6 +316,12 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
         run_rev = 1.0;
       }
       rem_r[a] -= 1.0;
+
+      // Counted last: the budget updates the next site waits on come
+      // first in program order, so the counting fills idle ports.
+      bonds.add_site(static_cast<std::int32_t>(i),
+                     static_cast<Species>(chosen), cand);
+      cand[i] = static_cast<Species>(chosen);
     }
     log_q_rev += std::log(run_rev);
   } else {
@@ -336,9 +354,11 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
         log_q_fwd += std::log(run_fwd);
         run_fwd = 1.0;
       }
-      candidate_[i] = static_cast<std::uint8_t>(chosen);
       n_changed += chosen != static_cast<std::size_t>(saved_[i]) ? 1u : 0u;
       remaining_[chosen] -= 1.0;
+      bonds.add_site(static_cast<std::int32_t>(i),
+                     static_cast<Species>(chosen), cand);
+      cand[i] = static_cast<Species>(chosen);
     }
     // 4. Reverse density of the current state under the same z (the
     // s == 4 branch computes it fused into the sampling pass above).
@@ -349,33 +369,16 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
   }
   log_q_fwd += std::log(run_fwd);
 
-  // 5. Energy: sparse delta over changed sites when the candidate stays
-  // close to the current state (the trained-VAE regime); a full
-  // recompute is cheaper once more than half the sites change, because
-  // the sparse walk visits changed sites' bonds from both endpoints.
-  double delta_energy;
-  if (2 * n_changed <= n) {
-    const bool audit_due =
-        audit_interval_ != 0 && (served_ + 1) % audit_interval_ == 0;
-    double full_before = 0.0;
-    if (audit_due) full_before = hamiltonian_->total_energy(cfg);
-    const auto d = hamiltonian_->assign_delta(cfg, candidate_, delta_ws_);
-    delta_energy = d.delta_energy;
-    cfg.assign(candidate_);
-    if (audit_due) {
-      const double full_after = hamiltonian_->total_energy(cfg);
-      const double err =
-          std::abs((full_after - full_before) - delta_energy);
-      const double tol = 1e-9 * std::max(1.0, std::abs(full_after));
-      DT_CHECK_MSG(err <= tol, "assign_delta audit failed: |"
-                                   << (full_after - full_before) << " - "
-                                   << delta_energy << "| = " << err << " > "
-                                   << tol);
-    }
-    ++work_.sparse;
-  } else {
-    cfg.assign(candidate_);
-    delta_energy = hamiltonian_->total_energy(cfg) - current_energy.value();
+  // 5. Energy: the candidate's counts priced by the one energy
+  // definition. The audit recounts the assigned configuration from
+  // scratch; integer counts make the two agree bit for bit.
+  const double energy = hamiltonian_->energy_from_counts(bonds.counts());
+  cfg.assign(candidate_);
+  if (audit_interval_ != 0 && (served_ + 1) % audit_interval_ == 0) {
+    const double full = hamiltonian_->total_energy(cfg);
+    DT_CHECK_MSG(full == energy, "fused energy audit failed: counted "
+                                     << std::setprecision(17) << energy
+                                     << " != total_energy " << full);
   }
 
   ++buffer_pos_;
@@ -402,7 +405,7 @@ mc::ProposalResult VaeProposal::propose(Configuration& cfg,
 
   mc::ProposalResult result;
   result.valid = true;
-  result.delta_energy = units::DeltaEnergy(delta_energy);
+  result.delta_energy = units::DeltaEnergy(energy - current_energy.value());
   result.log_q_ratio = units::LogWeight(log_q_rev - log_q_fwd);
   return result;
 }

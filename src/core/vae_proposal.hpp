@@ -46,10 +46,12 @@
 //    a resumed walker regenerates the buffer on demand, bit-exactly.
 //
 // z stays independent of the chain state, so the MH argument above is
-// untouched. Energy evaluation uses the sparse EpiHamiltonian::
-// assign_delta walk over changed sites when the candidate differs on
-// less than half the lattice (else a full recompute is cheaper), with a
-// periodic audit against total_energy (set_audit_interval).
+// untouched. The candidate is priced inside the sampling pass: as each
+// site's species is picked, a lattice::PairCounter counts its bonds to
+// the sites already picked, and EpiHamiltonian::energy_from_counts --
+// the same combine step total_energy uses -- turns the counts into the
+// candidate's energy. Every audit_interval proposals that energy must
+// equal total_energy of the assigned candidate bit for bit.
 #pragma once
 
 #include <array>
@@ -81,12 +83,11 @@ struct VaeProposalStats {
   }
 };
 
-/// What the kernel did, for the walker record (vae_decoded, vae_sparse,
+/// What the kernel did, for the walker record (vae_decoded,
 /// vae_changed_sites). Kept apart from VaeProposalStats so checkpoints
 /// do not carry it: the counts restart at zero on resume.
 struct VaeWorkCounts {
   std::uint64_t decoded = 0;        ///< latent rows decoded
-  std::uint64_t sparse = 0;         ///< proposals priced by the sparse delta
   std::uint64_t changed_sites = 0;  ///< sites changed, summed over proposals
 };
 
@@ -96,7 +97,7 @@ class VaeProposal final : public mc::Proposal {
   /// the decoder weight streaming amortised (the buffer is K * n_sites *
   /// n_species floats per walker -- ~0.5 MB at paper scale).
   static constexpr std::int32_t kDefaultDecodeBatch = 16;
-  /// Default audit cadence (proposals between delta-vs-total cross
+  /// Default audit cadence (proposals between fused-vs-total energy
   /// checks); denser in debug builds where the audit cost is acceptable.
 #ifdef NDEBUG
   static constexpr std::uint64_t kDefaultAuditInterval = 512;
@@ -165,9 +166,10 @@ class VaeProposal final : public mc::Proposal {
   void set_decode_batch(std::int32_t k);
   [[nodiscard]] std::int32_t decode_batch() const { return decode_batch_; }
 
-  /// Audit cadence: cross-check the sparse delta against total_energy
-  /// every `interval` proposals (0 disables). A disagreement beyond
-  /// 1e-9 * max(1, |E|) aborts via DT_CHECK, naming both energies.
+  /// Audit cadence: every `interval` proposals (0 disables), the
+  /// candidate energy counted during sampling must equal total_energy of
+  /// the assigned candidate exactly; any difference aborts via DT_CHECK,
+  /// naming both energies.
   void set_audit_interval(std::uint64_t interval) {
     audit_interval_ = interval;
   }
@@ -240,7 +242,6 @@ class VaeProposal final : public mc::Proposal {
   std::vector<std::uint32_t> uniform_words_;  // 2n physics-stream draws
   std::vector<double> remaining_;     // species budget (n_species)
   std::vector<std::uint8_t> candidate_;
-  lattice::DeltaWorkspace delta_ws_;
 
   std::uint64_t audit_interval_ = kDefaultAuditInterval;
 };

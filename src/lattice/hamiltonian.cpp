@@ -1,7 +1,5 @@
 #include "lattice/hamiltonian.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -12,12 +10,59 @@
 
 namespace dt::lattice {
 
+PairCounter::PairCounter(const Lattice& lat, int n_species, int n_shells)
+    : n_species_(static_cast<std::size_t>(n_species)),
+      n_shells_(static_cast<std::size_t>(n_shells)),
+      words_((n_species_ + 3) / 4) {
+  DT_CHECK_MSG(n_species >= 1 && n_species <= kMaxSpecies,
+               "PairCounter: " << n_species << " species (1.."
+                               << kMaxSpecies << " supported)");
+  DT_CHECK_MSG(n_shells >= 1 && n_shells <= lat.num_shells(),
+               "Hamiltonian has more shells than the lattice resolves");
+  int z_max = 1;
+  for (int s = 0; s < n_shells; ++s) {
+    const auto sh = static_cast<std::size_t>(s);
+    rows_[sh] = lat.neighbors(0, s).data();
+    z_[sh] = static_cast<std::size_t>(lat.coordination(s));
+    z_max = std::max(z_max, lat.coordination(s));
+  }
+  flush_every_ = 0xFFFF / z_max;
+  std::fill_n(packed_.begin(), n_shells_ * n_species_ * words_, 0);
+  std::fill_n(totals_.begin(), n_shells_ * n_species_ * n_species_, 0);
+}
+
+void PairCounter::flush() {
+  for (std::size_t row = 0; row < n_shells_ * n_species_; ++row) {
+    std::uint64_t* total = &totals_[row * n_species_];
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t lanes = packed_[row * words_ + w];
+      packed_[row * words_ + w] = 0;
+      for (std::size_t b = 4 * w; b < std::min(4 * w + 4, n_species_); ++b) {
+        total[b] += lanes & 0xFFFF;
+        lanes >>= 16;
+      }
+    }
+  }
+  pending_ = 0;
+}
+
+std::span<const std::uint64_t> PairCounter::counts() {
+  flush();
+  return {totals_.data(), n_shells_ * n_species_ * n_species_};
+}
+
 EpiHamiltonian::EpiHamiltonian(int n_species,
                                std::vector<std::vector<double>> couplings)
     : n_species_(n_species),
       n_shells_(static_cast<int>(couplings.size())) {
   DT_CHECK(n_species_ >= 1);
+  DT_CHECK_MSG(n_species_ <= PairCounter::kMaxSpecies,
+               "EpiHamiltonian: " << n_species_ << " species (at most "
+                                  << PairCounter::kMaxSpecies << ")");
   DT_CHECK(!couplings.empty());
+  DT_CHECK_MSG(n_shells_ <= Lattice::kMaxShells,
+               "EpiHamiltonian: " << n_shells_ << " shells (at most "
+                                  << Lattice::kMaxShells << ")");
   const auto s = static_cast<std::size_t>(n_species_);
   min_coupling_ = std::numeric_limits<double>::infinity();
   max_coupling_ = -std::numeric_limits<double>::infinity();
@@ -29,11 +74,15 @@ EpiHamiltonian::EpiHamiltonian(int n_species,
         DT_CHECK_MSG(std::abs(v[a * s + b] - v[b * s + a]) < 1e-12,
                      "coupling matrix not symmetric at (" << a << "," << b
                                                           << ")");
-        min_coupling_ = std::min(min_coupling_, v[a * s + b]);
-        max_coupling_ = std::max(max_coupling_, v[a * s + b]);
+        // Symmetrised: V(a,b) and V(b,a) become the same double, so the
+        // pair-count energy (one triangle) and swap_delta (both
+        // orientations) price identical couplings.
+        const double sym = 0.5 * (v[a * s + b] + v[b * s + a]);
+        couplings_.push_back(sym);
+        min_coupling_ = std::min(min_coupling_, sym);
+        max_coupling_ = std::max(max_coupling_, sym);
       }
     }
-    couplings_.insert(couplings_.end(), v.begin(), v.end());
   }
 }
 
@@ -47,58 +96,60 @@ double EpiHamiltonian::total_energy(const Configuration& cfg) const {
 }
 
 double EpiHamiltonian::total_energy_serial(const Configuration& cfg) const {
-  const Lattice& lat = cfg.lattice();
-  DT_CHECK_MSG(n_shells() <= lat.num_shells(),
-               "Hamiltonian has more shells than the lattice resolves");
-  // Upper-half adjacency: each bond exactly once with no per-bond
-  // branch. Bonds of one site (<= z/2 terms) are summed plainly -- a
-  // short, independent chain the CPU can overlap across sites -- and
-  // Kahan compensation is applied once per site; a per-bond Kahan add
-  // serialises the whole loop on its 4-op dependency chain.
-  const std::span<const Species> occ = cfg.occupancy();
-  KahanSum energy;
-  for (int s = 0; s < n_shells(); ++s) {
-    for (std::int32_t site = 0; site < lat.num_sites(); ++site) {
-      const double* row = coupling_row(s, occ[static_cast<std::size_t>(site)]);
-      double site_sum = 0.0;
-      for (std::int32_t nb : lat.half_neighbors(site, s))
-        site_sum += row[occ[static_cast<std::size_t>(nb)]];
-      energy.add(site_sum);
-    }
-  }
-  return energy.value();
+  const Species* occ = cfg.occupancy().data();
+  PairCounter bonds(cfg.lattice(), n_species_, n_shells_);
+  for (std::int32_t site = 0; site < cfg.num_sites(); ++site)
+    bonds.add_site(site, occ[site], occ);
+  return energy_from_counts(bonds.counts(), 2);  // seen from both ends
 }
 
 double EpiHamiltonian::total_energy_parallel(const Configuration& cfg) const {
-  const Lattice& lat = cfg.lattice();
-  DT_CHECK_MSG(n_shells() <= lat.num_shells(),
-               "Hamiltonian has more shells than the lattice resolves");
-  // Per-thread Kahan partials instead of a plain reduction(+): a naive
-  // sum drifts from total_energy_serial at the ULP level, which would
-  // make results depend on which side of the size threshold a lattice
-  // lands (pinned serial == parallel in test_hamiltonian). The final
-  // combine is over one partial per thread, ordered by thread id.
-  std::vector<double> partials(
-      static_cast<std::size_t>(omp_get_max_threads()), 0.0);
+  const Species* occ = cfg.occupancy().data();
+  const auto n_counts = static_cast<std::size_t>(n_shells_ * n_species_ *
+                                                 n_species_);
+  // Each thread counts its own sites; integer totals add up to the same
+  // counts in any order, so the energy equals total_energy_serial's.
+  std::array<std::uint64_t, PairCounter::kMaxCounts> totals{};
 #pragma omp parallel
   {
-    KahanSum local;
-    for (int s = 0; s < n_shells(); ++s) {
+    PairCounter bonds(cfg.lattice(), n_species_, n_shells_);
 #pragma omp for schedule(static) nowait
-      for (std::int32_t site = 0; site < lat.num_sites(); ++site) {
-        const double* row =
-            coupling_row(s, cfg.at(site));  // same shape as the serial path
-        double site_sum = 0.0;
-        for (std::int32_t nb : lat.half_neighbors(site, s))
-          site_sum += row[cfg.at(nb)];
-        local.add(site_sum);
+    for (std::int32_t site = 0; site < cfg.num_sites(); ++site)
+      bonds.add_site(site, occ[site], occ);
+    const auto mine = bonds.counts();
+    for (std::size_t k = 0; k < n_counts; ++k) {
+#pragma omp atomic
+      totals[k] += mine[k];
+    }
+  }
+  return energy_from_counts({totals.data(), n_counts}, 2);
+}
+
+double EpiHamiltonian::energy_from_counts(
+    std::span<const std::uint64_t> counts, int seen) const {
+  // counts has the [shell][a][b] layout of couplings_.
+  DT_CHECK(counts.size() == couplings_.size());
+  DT_CHECK(seen == 1 || seen == 2);
+  const auto s = static_cast<std::size_t>(n_species_);
+  const auto shift = static_cast<unsigned>(seen - 1);
+  const std::uint64_t odd = seen == 2 ? 1 : 0;  // the bit a division drops
+  std::uint64_t dropped = 0;
+  double energy = 0.0;
+  for (std::size_t shell = 0; shell < counts.size(); shell += s * s) {
+    const std::uint64_t* n = &counts[shell];
+    const double* v = &couplings_[shell];
+    for (std::size_t a = 0; a < s; ++a) {
+      dropped |= n[a * s + a] & odd;
+      energy += v[a * s + a] * static_cast<double>(n[a * s + a] >> shift);
+      for (std::size_t b = a + 1; b < s; ++b) {
+        const std::uint64_t mixed = n[a * s + b] + n[b * s + a];
+        dropped |= mixed & odd;
+        energy += v[a * s + b] * static_cast<double>(mixed >> shift);
       }
     }
-    partials[static_cast<std::size_t>(omp_get_thread_num())] = local.value();
   }
-  KahanSum energy;
-  for (double p : partials) energy.add(p);
-  return energy.value();
+  DT_CHECK_MSG(dropped == 0, "pair counts: a bond seen from only one end");
+  return energy;
 }
 
 double EpiHamiltonian::site_energy(const Configuration& cfg,

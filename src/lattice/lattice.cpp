@@ -58,7 +58,7 @@ Lattice Lattice::create(LatticeType type, int nx, int ny, int nz,
                         int n_shells) {
   DT_CHECK_MSG(nx >= 1 && ny >= 1 && nz >= 1,
                "lattice dims must be positive: " << nx << "x" << ny << "x" << nz);
-  DT_CHECK_MSG(n_shells >= 1 && n_shells <= 6,
+  DT_CHECK_MSG(n_shells >= 1 && n_shells <= kMaxShells,
                "n_shells out of supported range: " << n_shells);
 
   Lattice lat;
@@ -149,21 +149,6 @@ Lattice Lattice::create(LatticeType type, int nx, int ny, int nz,
     }
   }
 
-  // Upper-half CSR adjacency (neighbours with index > site): the
-  // branch-free bond iteration used by the energy hot loops.
-  lat.half_flat_.resize(static_cast<std::size_t>(n_shells));
-  lat.half_offsets_.resize(static_cast<std::size_t>(n_shells));
-  for (int s = 0; s < n_shells; ++s) {
-    auto& half = lat.half_flat_[static_cast<std::size_t>(s)];
-    auto& offsets = lat.half_offsets_[static_cast<std::size_t>(s)];
-    offsets.reserve(static_cast<std::size_t>(lat.num_sites_) + 1);
-    offsets.push_back(0);
-    for (std::int32_t site = 0; site < lat.num_sites_; ++site) {
-      for (std::int32_t nb : lat.neighbors(site, s))
-        if (nb > site) half.push_back(nb);
-      offsets.push_back(static_cast<std::uint32_t>(half.size()));
-    }
-  }
   return lat;
 }
 

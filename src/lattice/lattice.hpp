@@ -26,6 +26,9 @@ enum class LatticeType { kSimpleCubic, kBCC, kFCC };
 
 class Lattice {
  public:
+  /// Most neighbour shells a lattice resolves.
+  static constexpr int kMaxShells = 6;
+
   /// Build a lattice with `n_shells` nearest-neighbour shells resolved.
   /// Throws if the supercell is too small for the requested shells to be
   /// unambiguous under periodic boundary conditions.
@@ -56,20 +59,6 @@ class Lattice {
     const auto& flat = flat_[static_cast<std::size_t>(shell)];
     const auto z = static_cast<std::size_t>(shell_z_[static_cast<std::size_t>(shell)]);
     return {flat.data() + static_cast<std::size_t>(site) * z, z};
-  }
-
-  /// Upper-half neighbour list: only the `shell`-neighbours with index
-  /// greater than `site` (bond multiplicity preserved). Summing over
-  /// these visits every bond exactly once WITHOUT the per-bond `nb >
-  /// site` branch of the full list -- the total-energy inner loop is
-  /// branch-free with this (see EpiHamiltonian::total_energy_serial).
-  [[nodiscard]] std::span<const std::int32_t> half_neighbors(
-      std::int32_t site, int shell) const {
-    const auto sh = static_cast<std::size_t>(shell);
-    const auto& offsets = half_offsets_[sh];
-    const auto lo = offsets[static_cast<std::size_t>(site)];
-    const auto hi = offsets[static_cast<std::size_t>(site) + 1];
-    return {half_flat_[sh].data() + lo, static_cast<std::size_t>(hi - lo)};
   }
 
   /// True if `other` is a `shell`-neighbour of `site` (linear scan; shells
@@ -105,9 +94,6 @@ class Lattice {
   std::vector<double> shell_d2_;  // squared shell distance
   // flat_[shell][site * z + n] = neighbour site index
   std::vector<std::vector<std::int32_t>> flat_;
-  // CSR upper-half adjacency per shell: neighbours with index > site.
-  std::vector<std::vector<std::int32_t>> half_flat_;
-  std::vector<std::vector<std::uint32_t>> half_offsets_;  // num_sites + 1
 };
 
 }  // namespace dt::lattice

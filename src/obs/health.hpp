@@ -59,10 +59,9 @@ enum class Flag : std::uint64_t { kNo = 0, kYes = 1 };
   X(double, local_acceptance, 0.0)                                      \
   X(std::uint64_t, vae_proposed, 0)                                     \
   X(double, vae_acceptance, 0.0)                                        \
-  /* VAE rows decoded, sparse-delta proposals and changed sites, */     \
-  /* counted since the kernel was built (not checkpointed) */           \
+  /* VAE rows decoded and changed sites, counted since the */           \
+  /* kernel was built (not checkpointed) */                             \
   X(std::uint64_t, vae_decoded, 0)                                      \
-  X(std::uint64_t, vae_sparse, 0)                                       \
   X(std::uint64_t, vae_changed_sites, 0)                                \
   /* DecodePlane::wait total ms and count; 0 without a plane */        \
   X(double, vae_decode_wait_ms, 0.0)                                    \

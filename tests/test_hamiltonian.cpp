@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/math.hpp"
 #include "common/rng.hpp"
 
 namespace dt::lattice {
@@ -13,6 +14,34 @@ namespace {
 TEST(EpiHamiltonian, RejectsAsymmetricCouplings) {
   std::vector<double> v = {0.0, 1.0, 2.0, 0.0};  // V(0,1) != V(1,0)
   EXPECT_THROW((void)EpiHamiltonian(2, {v}), dt::Error);
+}
+
+TEST(EpiHamiltonian, StoresNearSymmetricCouplingsExactlySymmetric) {
+  // A 1e-13 asymmetry passes the symmetry check; both orientations must
+  // then hold the same double, or the pair-count energy (one triangle)
+  // and swap_delta (both orientations) would price different couplings.
+  const std::vector<double> v = {0.02, -0.1,        0.03,  //
+                                 -0.1 + 1e-13, 0.05, 0.07,  //
+                                 0.03, 0.07 - 1e-13, -0.01};
+  const EpiHamiltonian ham(3, {v});
+  for (Species a = 0; a < 3; ++a)
+    for (Species b = 0; b < 3; ++b)
+      EXPECT_EQ(ham.coupling(0, a, b), ham.coupling(0, b, a));
+  EXPECT_EQ(ham.coupling(0, 0, 1), 0.5 * (-0.1 + (-0.1 + 1e-13)));
+
+  const auto lat = Lattice::create(LatticeType::kBCC, 3, 3, 3, 1);
+  Xoshiro256ss rng(17);
+  auto cfg = random_configuration(lat, 3, rng);
+  for (int t = 0; t < 50; ++t) {
+    const auto a = static_cast<std::int32_t>(
+        uniform_index(rng, static_cast<std::uint64_t>(lat.num_sites())));
+    const auto b = static_cast<std::int32_t>(
+        uniform_index(rng, static_cast<std::uint64_t>(lat.num_sites())));
+    const double before = ham.total_energy(cfg);
+    const double delta = ham.swap_delta(cfg, a, b);
+    cfg.swap(a, b);
+    ASSERT_NEAR(ham.total_energy(cfg) - before, delta, 1e-13) << "trial " << t;
+  }
 }
 
 TEST(EpiHamiltonian, RejectsWrongMatrixSize) {
@@ -161,19 +190,100 @@ TEST(EpiHamiltonian, EnergyBoundsHold) {
 }
 
 TEST(EpiHamiltonian, ParallelEnergyMatchesSerial) {
-  // The OpenMP path must agree with the Kahan-summed serial path to
-  // floating-point reduction tolerance, on lattices big and small.
-  for (const int cells : {3, 8}) {
+  // Both paths add integer pair counts, so they agree bit for bit:
+  // results cannot depend on which side of the total_energy size
+  // threshold a lattice lands.
+  for (const int cells : {3, 4, 8, 12}) {
     const auto lat = Lattice::create(LatticeType::kBCC, cells, cells, cells, 2);
     const auto ham = random_epi(4, 2, 0.2, 77);
     Xoshiro256ss rng(static_cast<std::uint64_t>(cells));
     const auto cfg = random_configuration(lat, 4, rng);
     const double serial = ham.total_energy_serial(cfg);
-    const double parallel = ham.total_energy_parallel(cfg);
-    EXPECT_NEAR(parallel, serial, 1e-8 * std::max(1.0, std::abs(serial)))
-        << "cells=" << cells;
-    EXPECT_NEAR(ham.total_energy(cfg), serial,
-                1e-8 * std::max(1.0, std::abs(serial)));
+    EXPECT_EQ(ham.total_energy_parallel(cfg), serial) << "cells=" << cells;
+    EXPECT_EQ(ham.total_energy(cfg), serial) << "cells=" << cells;
+  }
+}
+
+/// The total energy before pair counts: upper-half bonds of each site
+/// summed plainly, one Kahan add per site. The upper-half list is the
+/// full neighbour row filtered to nb > site, in row order.
+double kahan_site_sum(const EpiHamiltonian& ham, const Configuration& cfg) {
+  const Lattice& lat = cfg.lattice();
+  KahanSum energy;
+  for (int s = 0; s < ham.n_shells(); ++s) {
+    for (std::int32_t site = 0; site < lat.num_sites(); ++site) {
+      const double* row = ham.coupling_row(s, cfg.at(site));
+      double site_sum = 0.0;
+      for (std::int32_t nb : lat.neighbors(site, s))
+        if (nb > site) site_sum += row[cfg.at(nb)];
+      energy.add(site_sum);
+    }
+  }
+  return energy.value();
+}
+
+TEST(EpiHamiltonian, PairCountEnergyMatchesKahanSiteSum) {
+  // Cells = 2 puts duplicate periodic images into every shell that
+  // reaches a full cell, so the bond set with multiplicity is covered.
+  for (const LatticeType type : {LatticeType::kBCC, LatticeType::kFCC}) {
+    for (const int n_species : {2, 3, 4}) {
+      for (const int n_shells : {1, 2, 3}) {
+        for (const int cells : {2, 3}) {
+          const auto lat =
+              Lattice::create(type, cells, cells, cells, n_shells);
+          const auto seed =
+              static_cast<std::uint64_t>(100 * n_species + 10 * n_shells +
+                                         cells);
+          const auto ham = random_epi(n_species, n_shells, 0.3, seed);
+          Xoshiro256ss rng(seed);
+          for (int trial = 0; trial < 3; ++trial) {
+            const auto cfg = random_configuration(lat, n_species, rng);
+            const double want = kahan_site_sum(ham, cfg);
+            const double got = ham.total_energy_serial(cfg);
+            EXPECT_NEAR(got, want, 1e-12 * std::max(1.0, std::abs(want)))
+                << to_string(type) << " S=" << n_species
+                << " shells=" << n_shells << " cells=" << cells;
+            EXPECT_EQ(ham.total_energy_parallel(cfg), got);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EpiHamiltonian, PairCountEnergyExactPastLaneCapacity) {
+  // One species everywhere loads every bond into a single 16-bit lane.
+  // Each shell here holds more bonds than a lane can (0xFFFF), so a
+  // missing flush would wrap; the energy must stay exactly V_s(a,a)
+  // times the bond count. Dyadic couplings keep every product and sum
+  // exact, so the comparison is exact too. S = 5 also runs the
+  // multi-word lane rows.
+  const auto lat = Lattice::create(LatticeType::kBCC, 23, 23, 23, 2);
+  const std::int64_t bonds0 = std::int64_t{lat.num_sites()} * 8 / 2;
+  const std::int64_t bonds1 = std::int64_t{lat.num_sites()} * 6 / 2;
+  ASSERT_GT(bonds0, 0xFFFF);
+  ASSERT_GT(bonds1, 0xFFFF);
+  for (const int n_species : {4, 5}) {
+    const auto s = static_cast<std::size_t>(n_species);
+    std::vector<double> v0(s * s, 0.25), v1(s * s, -0.5);
+    for (std::size_t a = 0; a < s; ++a) {
+      v0[a * s + a] = 0.125 * static_cast<double>(a + 1);
+      v1[a * s + a] = -0.0625 * static_cast<double>(a + 1);
+    }
+    const EpiHamiltonian ham(n_species, {v0, v1});
+    for (int sp = 0; sp < n_species; ++sp) {
+      Configuration cfg(lat, n_species);
+      const std::vector<Species> occ(
+          static_cast<std::size_t>(lat.num_sites()),
+          static_cast<Species>(sp));
+      cfg.assign(occ);
+      const auto a = static_cast<Species>(sp);
+      const double want =
+          ham.coupling(0, a, a) * static_cast<double>(bonds0) +
+          ham.coupling(1, a, a) * static_cast<double>(bonds1);
+      EXPECT_EQ(ham.total_energy_serial(cfg), want) << "species " << sp;
+      EXPECT_EQ(ham.total_energy_parallel(cfg), want) << "species " << sp;
+    }
   }
 }
 
@@ -247,23 +357,6 @@ INSTANTIATE_TEST_SUITE_P(
                       Combo{LatticeType::kBCC, 2}, Combo{LatticeType::kBCC, 4},
                       Combo{LatticeType::kFCC, 3},
                       Combo{LatticeType::kFCC, 4}));
-
-TEST(EpiHamiltonian, ParallelKahanMatchesSerialTightly) {
-  // The parallel path keeps per-thread Kahan partials (not a plain
-  // reduction(+)), so it tracks the serial Kahan sum to near machine
-  // precision -- results must not depend on which side of the
-  // total_energy size threshold a lattice lands.
-  for (const int cells : {4, 8, 12}) {
-    const auto lat = Lattice::create(LatticeType::kBCC, cells, cells, cells, 2);
-    const auto ham = random_epi(4, 2, 0.3, 1234);
-    Xoshiro256ss rng(static_cast<std::uint64_t>(cells) * 13);
-    const auto cfg = random_configuration(lat, 4, rng);
-    const double serial = ham.total_energy_serial(cfg);
-    const double parallel = ham.total_energy_parallel(cfg);
-    EXPECT_NEAR(parallel, serial, 1e-12 * std::max(1.0, std::abs(serial)))
-        << "cells=" << cells;
-  }
-}
 
 TEST(EpiHamiltonian, AssignDeltaMatchesRecomputeSparse) {
   // Few changed sites: the regime the sparse walk is built for.

@@ -463,7 +463,6 @@ TEST_F(HttpObsTest, HttpOnlyRunExposesVaeWorkAndTrainEpochs) {
   const std::string metrics = http_get(server.port(), "/metrics");
   server.stop();
   EXPECT_GT(sample_sum(metrics, "health_walker_vae_decoded"), 0.0);
-  EXPECT_GT(sample_sum(metrics, "health_walker_vae_sparse"), 0.0);
   EXPECT_GT(sample_sum(metrics, "health_walker_vae_changed_sites"), 0.0);
   EXPECT_EQ(sample_sum(metrics, "train_epochs"), 3.0);
   EXPECT_GT(sample_sum(metrics, "run_total_sweeps"), 0.0);

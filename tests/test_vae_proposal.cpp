@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -328,22 +329,95 @@ TEST(VaeProposalFastPath, SaveLoadResumesBitExact) {
   EXPECT_FALSE(seed_occ.empty());
 }
 
-TEST(VaeProposalFastPath, AuditEveryProposalPasses) {
-  // Audit cadence 1: every sparse delta is cross-checked against
-  // total_energy; any bookkeeping error aborts via DT_CHECK.
-  const auto lat = Lattice::create(LatticeType::kBCC, 2, 2, 2, 1);
-  const auto ham = lattice::random_epi(3, 1, 0.3, 8);
-  auto vae = make_vae(lat.num_sites(), 3, 12);
-  VaeProposal prop(ham, vae);
-  prop.set_audit_interval(1);
-  mc::Rng rng(19, 0);
-  auto cfg = lattice::random_configuration(lat, 3, rng);
-  double energy = ham.total_energy(cfg);
-  for (int i = 0; i < 40; ++i) {
-    const auto r = prop.propose(cfg, units::Energy(energy), rng);
-    energy += r.delta_energy.value();
+/// FNV-1a digests of `steps` proposals (odd ones reverted, so the saved
+/// state varies): `chain` over the candidate occupancies and the
+/// physics-stream position, `log_q` over the log_q_ratio bits. The
+/// energy is deliberately left out: it may move in the last ulps when
+/// the energy path changes, the sampled chain may not.
+struct SamplingDigest {
+  std::uint64_t chain = 0xcbf29ce484222325ULL;
+  std::uint64_t log_q = 0xcbf29ce484222325ULL;
+};
+
+void fnv1a(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ULL;
   }
-  EXPECT_NEAR(energy, ham.total_energy(cfg), 1e-7);
+}
+
+SamplingDigest sampling_digest(int n_species, std::uint64_t ham_seed,
+                               std::uint64_t vae_seed, std::uint64_t rng_seed,
+                               int steps) {
+  const auto lat = Lattice::create(LatticeType::kBCC, 3, 3, 3, 2);
+  const auto ham = lattice::random_epi(n_species, 2, 0.2, ham_seed);
+  auto vae = make_vae(lat.num_sites(), n_species, vae_seed);
+  VaeProposal prop(ham, vae);
+  mc::Rng rng(rng_seed, 0);
+  auto cfg = lattice::random_configuration(lat, n_species, rng);
+  double energy = ham.total_energy(cfg);
+  SamplingDigest d;
+  for (int i = 0; i < steps; ++i) {
+    const auto r = prop.propose(cfg, units::Energy(energy), rng);
+    for (const std::uint8_t sp : cfg.occupancy()) fnv1a(d.chain, sp);
+    fnv1a(d.chain, rng.position());
+    fnv1a(d.log_q, std::bit_cast<std::uint64_t>(r.log_q_ratio.value()));
+    if (i % 2 == 1) {
+      prop.revert(cfg);
+    } else {
+      energy += r.delta_energy.value();
+    }
+  }
+  return d;
+}
+
+TEST(VaeProposalFastPath, SamplingMatchesGoldenHash) {
+  // The candidates, physics-stream draws and log_q_ratio of s = 4 (the
+  // quaternary loop) and s = 3 (the generic loop) are pinned bit for
+  // bit: a change to the energy path must leave the sampling untouched.
+  const auto quaternary = sampling_digest(4, 41, 42, 43, 200);
+  const auto ternary = sampling_digest(3, 51, 52, 53, 200);
+  EXPECT_EQ(quaternary.chain, 0x56a437eb28b9781dULL);
+  EXPECT_EQ(ternary.chain, 0xe94dde62ddc85bb1ULL);
+#if defined(__OPTIMIZE__) && defined(__FP_FAST_FMA)
+  // The log q bits depend on whether the compiler contracts a*b + c
+  // into an FMA, so they are pinned for the optimised FMA builds they
+  // were recorded with.
+  EXPECT_EQ(quaternary.log_q, 0x987d79bd493acac6ULL);
+  EXPECT_EQ(ternary.log_q, 0xcf0d11984a1b5169ULL);
+#endif
+}
+
+TEST(VaeProposalFastPath, AuditEveryProposalPasses) {
+  // Audit cadence 1: every candidate energy counted during sampling is
+  // checked against total_energy bit for bit; a mismatch aborts via
+  // DT_CHECK. The energies being equal, Delta E is exactly
+  // total_energy(candidate) - current. s = 3 runs the generic sampling
+  // loop, s = 4 the quaternary one; the 2-cell supercell's second shell
+  // holds duplicate periodic images.
+  for (const int cells : {2, 3}) {
+    const auto lat = Lattice::create(LatticeType::kBCC, cells, cells, cells, 2);
+    for (const int n_species : {3, 4}) {
+      const auto ham = lattice::random_epi(n_species, 2, 0.3, 8);
+      auto vae = make_vae(lat.num_sites(), n_species, 12);
+      VaeProposal prop(ham, vae);
+      prop.set_audit_interval(1);
+      mc::Rng rng(19, 0);
+      auto cfg = lattice::random_configuration(lat, n_species, rng);
+      double energy = ham.total_energy(cfg);
+      for (int i = 0; i < 40; ++i) {
+        const auto r = prop.propose(cfg, units::Energy(energy), rng);
+        const double full = ham.total_energy(cfg);
+        ASSERT_EQ(r.delta_energy.value(), full - energy)
+            << "cells=" << cells << " S=" << n_species << " proposal " << i;
+        if (i % 3 == 0) {
+          prop.revert(cfg);
+        } else {
+          energy = full;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
