@@ -195,11 +195,54 @@ void BM_GemmBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBackward)->Arg(256);
 
+// The two backward contractions of one VAE training step at 2000 sites
+// (batch 32, hidden 64), single-threaded as every benchmark rank runs:
+// {32, 64, 8000} is the decoder output layer, {32, 8000, 64} the encoder
+// input layer. gemm_nt_acc(m, n, t): dA(m, n) += dY(m, t) . B(n, t)^T.
+void BM_GemmNtAcc(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto t = static_cast<std::size_t>(state.range(2));
+  std::vector<float> dy(m * t, 0.5f);
+  std::vector<float> b(n * t, 0.25f);
+  std::vector<float> da(m * n, 0.0f);
+  for (auto _ : state) {
+    tensor::gemm_nt_acc(m, n, t, dy.data(), b.data(), da.data(),
+                        tensor::GemmMode::kSerial);
+    benchmark::DoNotOptimize(da.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * m * n * t));
+}
+BENCHMARK(BM_GemmNtAcc)->Args({32, 64, 8000})->Args({32, 8000, 64});
+
+// gemm_tn_acc(p, m, n): dB(m, n) += A(p, m)^T . dY(p, n).
+void BM_GemmTnAcc(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  std::vector<float> a(p * m, 0.5f);
+  std::vector<float> dy(p * n, 0.25f);
+  std::vector<float> db(m * n, 0.0f);
+  for (auto _ : state) {
+    tensor::gemm_tn_acc(p, m, n, a.data(), dy.data(), db.data(),
+                        tensor::GemmMode::kSerial);
+    benchmark::DoNotOptimize(db.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * p * m * n));
+}
+BENCHMARK(BM_GemmTnAcc)->Args({32, 64, 8000})->Args({32, 8000, 64});
+
+// One training step (forward, backward, Adam) of the benchmark VAE
+// (hidden 64, latent 8) at N = 2*cells^3 sites and batch range(1).
 void BM_VaeTrainStep(benchmark::State& state) {
-  System sys(4);
-  auto vae = bench_vae(sys, 64, 16);
+  System sys(static_cast<int>(state.range(0)));
+  auto vae = bench_vae(sys, 64, 8);
   nn::TrainOptions to;
-  to.batch_size = static_cast<std::int32_t>(state.range(0));
+  to.batch_size = static_cast<std::int32_t>(state.range(1));
   nn::Trainer trainer(*vae, to);
   mc::Rng rng(7, 0);
   std::vector<std::uint8_t> batch;
@@ -212,7 +255,7 @@ void BM_VaeTrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(trainer.train_batch(batch, to.batch_size));
   state.SetItemsProcessed(state.iterations() * to.batch_size);
 }
-BENCHMARK(BM_VaeTrainStep)->Arg(8)->Arg(32);
+BENCHMARK(BM_VaeTrainStep)->Args({4, 8})->Args({4, 32})->Args({10, 32});
 
 void BM_MinicommAllreduce(benchmark::State& state) {
   const auto ranks = static_cast<int>(state.range(0));

@@ -34,9 +34,11 @@ micro_json="${build_dir}/bench_micro_baseline.json"
 f4_json="${build_dir}/bench_f4_baseline.json"
 rm -f "${f4_json}"
 
-# Micro kernels: the GEMM + decode + proposal + energy hot paths.
-"${build_dir}/bench/bench_micro" \
-  --benchmark_filter='BM_(GemmNN|GemmBackward|TotalEnergy|AssignDelta|VaeDecodeBatch|VaeGlobalProposal)' \
+# Micro kernels: the GEMM + decode + proposal + energy hot paths and one
+# VAE training step. Single-threaded, as every time-to-solution rank runs
+# (ttsbench sets OMP_NUM_THREADS=1), so the numbers are what a walker pays.
+OMP_NUM_THREADS=1 "${build_dir}/bench/bench_micro" \
+  --benchmark_filter='BM_(GemmNN|GemmBackward|GemmNtAcc|GemmTnAcc|TotalEnergy|AssignDelta|VaeDecodeBatch|VaeGlobalProposal|VaeTrainStep)' \
   --benchmark_min_time="${min_time}" \
   --benchmark_out="${micro_json}" --benchmark_out_format=json
 

@@ -243,8 +243,9 @@ stage_perf() {
   fi
   cmake --build "${release_dir}" -j "${jobs}" --target bench_micro
   local smoke_json="${release_dir}/bench_micro_smoke.json"
-  "${release_dir}/bench/bench_micro" \
-    --benchmark_filter='BM_(GemmNN/256|VaeGlobalProposal/10/16|TotalEnergy/8)' \
+  # Single-threaded, like the baseline (scripts/bench_baseline.sh).
+  OMP_NUM_THREADS=1 "${release_dir}/bench/bench_micro" \
+    --benchmark_filter='BM_(GemmNN/256|GemmNtAcc/32/64/8000|GemmNtAcc/32/8000/64|GemmTnAcc/32/64/8000|GemmTnAcc/32/8000/64|VaeGlobalProposal/10/16|VaeTrainStep/10/32|TotalEnergy/8)' \
     --benchmark_min_time=0.5 --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \
     --benchmark_out="${smoke_json}" --benchmark_out_format=json >/dev/null

@@ -2,15 +2,38 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 namespace dt::tensor {
 namespace {
 
-constexpr std::size_t kMr = 4;     // row micro-tile
-constexpr std::size_t kNr = 32;    // column micro-tile (vector registers)
-constexpr std::size_t kKc = 256;   // depth cache block
-constexpr std::size_t kNc = 1024;  // B-panel width cache block
+// One native SIMD register of floats. The tiles below are written in
+// GCC vector extensions so their accumulators are plain values the
+// register allocator keeps in vector registers for a tile's whole
+// depth loop; narrower targets get narrower registers and shorter rows.
+#if defined(__AVX512F__)
+constexpr std::size_t kLanes = 16;
+#elif defined(__AVX__)
+constexpr std::size_t kLanes = 8;
+#else
+constexpr std::size_t kLanes = 4;
+#endif
+using vf = float __attribute__((vector_size(kLanes * sizeof(float))));
+
+// Register tiles: rows x vectors, sized to leave registers for the B
+// operands (32 vector registers with AVX-512, 16 below it).
+constexpr std::size_t kNnRows = kLanes == 16 ? 8 : 4;
+constexpr std::size_t kNnVecs = 2;
+constexpr std::size_t kTnRows = 4;
+constexpr std::size_t kTnVecs = kLanes == 16 ? 4 : 2;
+
+constexpr std::size_t kKc = 256;       // gemm_nn depth cache block
+constexpr std::size_t kNc = 1024;      // gemm_nn B-panel width cache block
+constexpr std::size_t kPackRows = 32;  // gemm_nn packs B from this many rows
+constexpr std::size_t kTnPanel = 256;  // gemm_tn_acc column panel
+constexpr std::size_t kNtRows = 64;    // gemm_nt_acc row block
+constexpr std::size_t kNtDepth = 128;  // gemm_nt_acc depth chunk
 
 bool use_parallel(GemmMode mode, std::size_t flops) {
   switch (mode) {
@@ -24,46 +47,93 @@ bool use_parallel(GemmMode mode, std::size_t flops) {
   return false;
 }
 
-/// Full micro-tile: C(4, 32) += A(4, kb) . B(kb, 32), accumulators kept
-/// in registers across the whole kb depth.
-inline void micro_4x32(std::size_t kb, const float* a, std::size_t lda,
-                       const float* b, std::size_t ldb, float* c,
-                       std::size_t ldc) {
-  float acc[kMr][kNr];
-  for (std::size_t r = 0; r < kMr; ++r)
-    for (std::size_t j = 0; j < kNr; ++j) acc[r][j] = c[r * ldc + j];
-  for (std::size_t kk = 0; kk < kb; ++kk) {
-    const float* brow = b + kk * ldb;
-    const float a0 = a[0 * lda + kk];
-    const float a1 = a[1 * lda + kk];
-    const float a2 = a[2 * lda + kk];
-    const float a3 = a[3 * lda + kk];
-    for (std::size_t j = 0; j < kNr; ++j) {
-      const float bj = brow[j];
-      acc[0][j] += a0 * bj;
-      acc[1][j] += a1 * bj;
-      acc[2][j] += a2 * bj;
-      acc[3][j] += a3 * bj;
-    }
-  }
-  for (std::size_t r = 0; r < kMr; ++r)
-    for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r][j];
+inline vf load(const float* p) {
+  vf v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-/// Edge micro-tile for partial rows/columns; same per-element
-/// accumulation order (kk sequential) as the full tile.
-inline void micro_edge(std::size_t rows, std::size_t cols, std::size_t kb,
-                       const float* a, std::size_t lda, const float* b,
-                       std::size_t ldb, float* c, std::size_t ldc) {
+inline void store(float* p, vf v) { std::memcpy(p, &v, sizeof v); }
+
+/// Every lane = x, as one broadcast. (Not vf{} + x: 0 + -0 is +0.)
+template <std::size_t... L>
+inline vf splat(float x, std::index_sequence<L...>) {
+  return vf{((void)L, x)...};
+}
+inline vf splat(float x) {
+  return splat(x, std::make_index_sequence<kLanes>{});
+}
+
+/// a * b rounded on its own. The empty asm hides the product from the
+/// compiler, so it cannot contract the caller's following add into an
+/// FMA.
+inline vf mul_rounded(vf a, vf b) {
+  vf p = a * b;
+  asm("" : "+v"(p));
+  return p;
+}
+
+/// C(R, V*kLanes) += A(R, depth) . B(depth, V*kLanes), where A(r, kk) is
+/// a[r * ars + kk * aks]: the tile is loaded once, accumulated in
+/// registers over the whole depth and stored once.
+template <std::size_t R, std::size_t V>
+inline void micro(std::size_t depth, const float* a, std::size_t ars,
+                  std::size_t aks, const float* b, std::size_t ldb, float* c,
+                  std::size_t ldc) {
+  vf acc[R][V];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v)
+      acc[r][v] = load(c + r * ldc + v * kLanes);
+  for (std::size_t kk = 0; kk < depth; ++kk) {
+    vf bv[V];
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v)
+      bv[v] = load(b + kk * ldb + v * kLanes);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const vf ar = splat(a[r * ars + kk * aks]);
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] += ar * bv[v];
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v)
+      store(c + r * ldc + v * kLanes, acc[r][v]);
+}
+
+/// Edge columns (fewer than kLanes): the same fused, depth-ordered update
+/// with C in memory.
+inline void micro_edge(std::size_t rows, std::size_t cols, std::size_t depth,
+                       const float* a, std::size_t ars, std::size_t aks,
+                       const float* b, std::size_t ldb, float* c,
+                       std::size_t ldc) {
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* arow = a + r * lda;
     float* crow = c + r * ldc;
-    for (std::size_t kk = 0; kk < kb; ++kk) {
-      const float ar = arow[kk];
+    for (std::size_t kk = 0; kk < depth; ++kk) {
+      const float ar = a[r * ars + kk * aks];
       const float* brow = b + kk * ldb;
       for (std::size_t j = 0; j < cols; ++j) crow[j] += ar * brow[j];
     }
   }
+}
+
+/// R rows of C, columns [0, n): V-vector tiles, then one-vector tiles,
+/// then edge columns.
+template <std::size_t R, std::size_t V>
+void band(std::size_t depth, std::size_t n, const float* a, std::size_t ars,
+          std::size_t aks, const float* b, std::size_t ldb, float* c,
+          std::size_t ldc) {
+  std::size_t j = 0;
+  for (; j + V * kLanes <= n; j += V * kLanes)
+    micro<R, V>(depth, a, ars, aks, b + j, ldb, c + j, ldc);
+  for (; j + kLanes <= n; j += kLanes)
+    micro<R, 1>(depth, a, ars, aks, b + j, ldb, c + j, ldc);
+  if (j < n)
+    micro_edge(R, n - j, depth, a, ars, aks, b + j, ldb, c + j, ldc);
 }
 
 void gemm_nn_impl(std::size_t m, std::size_t k, std::size_t n, const float* a,
@@ -72,7 +142,7 @@ void gemm_nn_impl(std::size_t m, std::size_t k, std::size_t n, const float* a,
   // Packing B costs one read + write + re-read of every panel; it pays
   // only when the panel is reused by many row tiles. Skinny products
   // (the decode-ahead batch: m = K) stream B directly instead.
-  const bool pack = m >= 8 * kMr;
+  const bool pack = m >= kPackRows;
   std::vector<float> packed;
   if (pack) packed.resize(std::min(kKc, k) * std::min(kNc, n));
 
@@ -89,26 +159,59 @@ void gemm_nn_impl(std::size_t m, std::size_t k, std::size_t n, const float* a,
         bsrc = packed.data();
         ldb = nb;
       }
-      const auto row_tiles = static_cast<std::ptrdiff_t>((m + kMr - 1) / kMr);
-      // Threads split ROW tiles only -- the kk reduction below stays
+      const auto bands =
+          static_cast<std::ptrdiff_t>((m + kNnRows - 1) / kNnRows);
+      // Threads split ROW bands only -- the kk reduction below stays
       // sequential per C element, so any thread count produces bitwise
       // identical results.
 #pragma omp parallel for schedule(static) if (parallel)
-      for (std::ptrdiff_t ti = 0; ti < row_tiles; ++ti) {
-        const std::size_t i0 = static_cast<std::size_t>(ti) * kMr;
-        const std::size_t rows = std::min(kMr, m - i0);
+      for (std::ptrdiff_t ti = 0; ti < bands; ++ti) {
+        const std::size_t i0 = static_cast<std::size_t>(ti) * kNnRows;
         const float* ablk = a + i0 * k + k0;
         float* cblk = c + i0 * n + j0;
-        for (std::size_t jj = 0; jj < nb; jj += kNr) {
-          const std::size_t cols = std::min(kNr, nb - jj);
-          if (rows == kMr && cols == kNr)
-            micro_4x32(kb, ablk, k, bsrc + jj, ldb, cblk + jj, n);
-          else
-            micro_edge(rows, cols, kb, ablk, k, bsrc + jj, ldb, cblk + jj, n);
+        if (m - i0 >= kNnRows) {
+          band<kNnRows, kNnVecs>(kb, nb, ablk, k, 1, bsrc, ldb, cblk, n);
+          continue;
         }
+        for (std::size_t r = 0; r < m - i0; ++r)
+          band<1, kNnVecs>(kb, nb, ablk + r * k, k, 1, bsrc, ldb,
+                           cblk + r * n, n);
       }
     }
   }
+}
+
+/// R rows of gemm_nt_acc's running sums s (kLanes outputs each) over the
+/// depth range [u0, u1) of one transposed chunk bt, whose first depth is
+/// t0. Unfused: s = s + round(a * b); fused: s = fma(a, b, s).
+template <std::size_t R, bool kFused>
+inline void rows_nt(std::size_t u0, std::size_t u1, std::size_t t0,
+                    const float* a, std::size_t lda, const vf* bt, vf* s) {
+  vf acc[R];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) acc[r] = s[r];
+  for (std::size_t u = u0; u < u1; ++u) {
+    const vf bv = bt[u - t0];
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const vf ar = splat(a[r * lda + u]);
+      if constexpr (kFused)
+        acc[r] += ar * bv;
+      else
+        acc[r] += mul_rounded(ar, bv);
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) s[r] = acc[r];
+}
+
+template <std::size_t R>
+void rows_nt_split(std::size_t u0, std::size_t u1, std::size_t fused_from,
+                   std::size_t t0, const float* a, std::size_t lda,
+                   const vf* bt, vf* s) {
+  const std::size_t mid = std::clamp(fused_from, u0, u1);
+  if (u0 < mid) rows_nt<R, false>(u0, mid, t0, a, lda, bt, s);
+  if (mid < u1) rows_nt<R, true>(mid, u1, t0, a, lda, bt, s);
 }
 
 }  // namespace
@@ -129,37 +232,42 @@ void gemm_nn_acc(std::size_t m, std::size_t k, std::size_t n, const float* a,
 void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t t, const float* a,
                  const float* b, float* c, GemmMode mode) {
   const bool parallel = use_parallel(mode, 2 * m * n * t);
-  const auto rows = static_cast<std::ptrdiff_t>(m);
+  // Depths from here on are fused; see the order contract in gemm.hpp.
+  const std::size_t fused_from =
+      t / 16 * 16 + (t % 16 >= 8 ? std::size_t{8} : std::size_t{0});
+  const auto col_blocks =
+      static_cast<std::ptrdiff_t>((n + kLanes - 1) / kLanes);
+  for (std::size_t i0 = 0; i0 < m; i0 += kNtRows) {
+    const std::size_t mb = std::min(kNtRows, m - i0);
+    // Threads split output column blocks; each lane's depth sum stays
+    // sequential, so any thread count produces bitwise identical results.
 #pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t ri = 0; ri < rows; ++ri) {
-    const auto i = static_cast<std::size_t>(ri);
-    const float* arow = a + i * t;
-    float* crow = c + i * n;
-    std::size_t j = 0;
-    // Four dot products share one pass over the A row.
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + (j + 0) * t;
-      const float* b1 = b + (j + 1) * t;
-      const float* b2 = b + (j + 2) * t;
-      const float* b3 = b + (j + 3) * t;
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      for (std::size_t tt = 0; tt < t; ++tt) {
-        const float av = arow[tt];
-        s0 += av * b0[tt];
-        s1 += av * b1[tt];
-        s2 += av * b2[tt];
-        s3 += av * b3[tt];
+    for (std::ptrdiff_t jb = 0; jb < col_blocks; ++jb) {
+      const std::size_t j0 = static_cast<std::size_t>(jb) * kLanes;
+      const std::size_t lanes = std::min(kLanes, n - j0);
+      vf sums[kNtRows];
+      vf bt[kNtDepth];  // B rows j0.. transposed: bt[u][lane] = B[j0+lane][u]
+      std::fill(sums, sums + mb, vf{});
+      if (lanes < kLanes) std::fill(bt, bt + kNtDepth, vf{});
+      for (std::size_t t0 = 0; t0 < t; t0 += kNtDepth) {
+        const std::size_t tc = std::min(kNtDepth, t - t0);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const float* brow = b + (j0 + l) * t + t0;
+          for (std::size_t u = 0; u < tc; ++u) bt[u][l] = brow[u];
+        }
+        const float* ablk = a + i0 * t;
+        std::size_t i = 0;
+        for (; i + 4 <= mb; i += 4)
+          rows_nt_split<4>(t0, t0 + tc, fused_from, t0, ablk + i * t, t, bt,
+                           sums + i);
+        for (; i < mb; ++i)
+          rows_nt_split<1>(t0, t0 + tc, fused_from, t0, ablk + i * t, t, bt,
+                           sums + i);
       }
-      crow[j + 0] += s0;
-      crow[j + 1] += s1;
-      crow[j + 2] += s2;
-      crow[j + 3] += s3;
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * t;
-      float s = 0.0f;
-      for (std::size_t tt = 0; tt < t; ++tt) s += arow[tt] * brow[tt];
-      crow[j] += s;
+      for (std::size_t i = 0; i < mb; ++i) {
+        float* crow = c + (i0 + i) * n + j0;
+        for (std::size_t l = 0; l < lanes; ++l) crow[l] = crow[l] + sums[i][l];
+      }
     }
   }
 }
@@ -167,39 +275,26 @@ void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t t, const float* a,
 void gemm_tn_acc(std::size_t p, std::size_t m, std::size_t n, const float* a,
                  const float* b, float* c, GemmMode mode) {
   const bool parallel = use_parallel(mode, 2 * p * m * n);
-  const auto row_tiles = static_cast<std::ptrdiff_t>((m + kMr - 1) / kMr);
-#pragma omp parallel for schedule(static) if (parallel)
-  for (std::ptrdiff_t ti = 0; ti < row_tiles; ++ti) {
-    const std::size_t i0 = static_cast<std::size_t>(ti) * kMr;
-    const std::size_t rows = std::min(kMr, m - i0);
-    if (rows == kMr) {
-      float* c0 = c + (i0 + 0) * n;
-      float* c1 = c + (i0 + 1) * n;
-      float* c2 = c + (i0 + 2) * n;
-      float* c3 = c + (i0 + 3) * n;
-      for (std::size_t tt = 0; tt < p; ++tt) {
-        const float* acol = a + tt * m + i0;
-        const float* brow = b + tt * n;
-        const float a0 = acol[0];
-        const float a1 = acol[1];
-        const float a2 = acol[2];
-        const float a3 = acol[3];
-        for (std::size_t j = 0; j < n; ++j) {
-          const float bj = brow[j];
-          c0[j] += a0 * bj;
-          c1[j] += a1 * bj;
-          c2[j] += a2 * bj;
-          c3[j] += a3 * bj;
-        }
-      }
-    } else {
-      for (std::size_t r = 0; r < rows; ++r) {
-        float* crow = c + (i0 + r) * n;
-        for (std::size_t tt = 0; tt < p; ++tt) {
-          const float av = a[tt * m + i0 + r];
-          const float* brow = b + tt * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
+  const auto row_tiles =
+      static_cast<std::ptrdiff_t>((m + kTnRows - 1) / kTnRows);
+  // Column panels outermost keep a p x kTnPanel slice of B cache-resident
+  // across every row tile. Threads split row tiles; each C block belongs
+  // to one (panel, row tile) pair, so panels need no barrier between them.
+#pragma omp parallel if (parallel)
+  for (std::size_t j0 = 0; j0 < n; j0 += kTnPanel) {
+    const std::size_t j1 = std::min(n, j0 + kTnPanel);
+#pragma omp for schedule(static) nowait
+    for (std::ptrdiff_t ti = 0; ti < row_tiles; ++ti) {
+      const std::size_t i0 = static_cast<std::size_t>(ti) * kTnRows;
+      const std::size_t rows = std::min(kTnRows, m - i0);
+      // A(p, m)^T: row r of the tile is column i0 + r of A.
+      if (rows == kTnRows) {
+        band<kTnRows, kTnVecs>(p, j1 - j0, a + i0, 1, m, b + j0, n,
+                               c + i0 * n + j0, n);
+      } else {
+        for (std::size_t r = 0; r < rows; ++r)
+          band<1, kTnVecs>(p, j1 - j0, a + i0 + r, 1, m, b + j0, n,
+                           c + (i0 + r) * n + j0, n);
       }
     }
   }

@@ -265,6 +265,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
                       [](Node& self) {
                         for (const auto& parent : self.parents) {
                           Node& p = *parent;
+                          if (!p.requires_grad) continue;
                           p.ensure_grad();
                           for (std::size_t i = 0; i < p.grad.size(); ++i)
                             p.grad[i] += self.grad[i];
@@ -292,13 +293,16 @@ Tensor add_rowvec(const Tensor& a, const Tensor& b) {
       [rows, cols](Node& self) {
         Node& pa = *self.parents[0];
         Node& pb = *self.parents[1];
-        pa.ensure_grad();
-        pb.ensure_grad();
-        for (std::size_t r = 0; r < rows; ++r) {
-          for (std::size_t c = 0; c < cols; ++c) {
-            pa.grad[r * cols + c] += self.grad[r * cols + c];
-            pb.grad[c] += self.grad[r * cols + c];
-          }
+        if (pa.requires_grad) {
+          pa.ensure_grad();
+          for (std::size_t i = 0; i < rows * cols; ++i)
+            pa.grad[i] += self.grad[i];
+        }
+        if (pb.requires_grad) {
+          pb.ensure_grad();
+          for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < cols; ++c)
+              pb.grad[c] += self.grad[r * cols + c];
         }
       });
   return Tensor(node);
@@ -314,11 +318,15 @@ Tensor sub(const Tensor& a, const Tensor& b) {
                       [](Node& self) {
                         Node& pa = *self.parents[0];
                         Node& pb = *self.parents[1];
-                        pa.ensure_grad();
-                        pb.ensure_grad();
-                        for (std::size_t i = 0; i < self.grad.size(); ++i) {
-                          pa.grad[i] += self.grad[i];
-                          pb.grad[i] -= self.grad[i];
+                        if (pa.requires_grad) {
+                          pa.ensure_grad();
+                          for (std::size_t i = 0; i < self.grad.size(); ++i)
+                            pa.grad[i] += self.grad[i];
+                        }
+                        if (pb.requires_grad) {
+                          pb.ensure_grad();
+                          for (std::size_t i = 0; i < self.grad.size(); ++i)
+                            pb.grad[i] -= self.grad[i];
                         }
                       });
   return Tensor(node);
@@ -334,11 +342,15 @@ Tensor mul(const Tensor& a, const Tensor& b) {
                       [](Node& self) {
                         Node& pa = *self.parents[0];
                         Node& pb = *self.parents[1];
-                        pa.ensure_grad();
-                        pb.ensure_grad();
-                        for (std::size_t i = 0; i < self.grad.size(); ++i) {
-                          pa.grad[i] += self.grad[i] * pb.value[i];
-                          pb.grad[i] += self.grad[i] * pa.value[i];
+                        if (pa.requires_grad) {
+                          pa.ensure_grad();
+                          for (std::size_t i = 0; i < self.grad.size(); ++i)
+                            pa.grad[i] += self.grad[i] * pb.value[i];
+                        }
+                        if (pb.requires_grad) {
+                          pb.ensure_grad();
+                          for (std::size_t i = 0; i < self.grad.size(); ++i)
+                            pb.grad[i] += self.grad[i] * pa.value[i];
                         }
                       });
   return Tensor(node);
@@ -418,13 +430,17 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
       {a.node(), b.node()}, [rows, ca, cb](Node& self) {
         Node& pa = *self.parents[0];
         Node& pb = *self.parents[1];
-        pa.ensure_grad();
-        pb.ensure_grad();
-        for (std::size_t r = 0; r < rows; ++r) {
-          for (std::size_t c = 0; c < ca; ++c)
-            pa.grad[r * ca + c] += self.grad[r * (ca + cb) + c];
-          for (std::size_t c = 0; c < cb; ++c)
-            pb.grad[r * cb + c] += self.grad[r * (ca + cb) + ca + c];
+        if (pa.requires_grad) {
+          pa.ensure_grad();
+          for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < ca; ++c)
+              pa.grad[r * ca + c] += self.grad[r * (ca + cb) + c];
+        }
+        if (pb.requires_grad) {
+          pb.ensure_grad();
+          for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = 0; c < cb; ++c)
+              pb.grad[r * cb + c] += self.grad[r * (ca + cb) + ca + c];
         }
       });
   return Tensor(node);
@@ -448,14 +464,16 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
       [rows, inner, cols](Node& self) {
         Node& pa = *self.parents[0];
         Node& pb = *self.parents[1];
-        pa.ensure_grad();
-        pb.ensure_grad();
-        // dA += dY . B^T
-        gemm_nt_acc(rows, inner, cols, self.grad.data(), pb.value.data(),
-                    pa.grad.data());
-        // dB += A^T . dY
-        gemm_tn_acc(rows, inner, cols, pa.value.data(), self.grad.data(),
-                    pb.grad.data());
+        if (pa.requires_grad) {  // dA += dY . B^T
+          pa.ensure_grad();
+          gemm_nt_acc(rows, inner, cols, self.grad.data(), pb.value.data(),
+                      pa.grad.data());
+        }
+        if (pb.requires_grad) {  // dB += A^T . dY
+          pb.ensure_grad();
+          gemm_tn_acc(rows, inner, cols, pa.value.data(), self.grad.data(),
+                      pb.grad.data());
+        }
       });
   return Tensor(node);
 }

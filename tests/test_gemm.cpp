@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -246,6 +248,165 @@ TEST(NoGradGuard, SuppressesTapeConstruction) {
   }
   auto y = matmul(a, b);  // guard restored: tape records again
   EXPECT_TRUE(y.requires_grad());
+}
+
+
+// ---- Per-element order contract ------------------------------------------
+//
+// The kernels must reproduce the exact operation order of the loops they
+// replaced, because trained weights (and through them trajectories and
+// checkpoints) depend on every bit. The references below are those loops
+// with the order made explicit. A "fused" step is a*b + c as the compiler
+// contracts it: one FMA in optimised builds for FMA targets, a rounded
+// multiply and add otherwise.
+
+#if defined(__OPTIMIZE__) && defined(__FP_FAST_FMA)
+float fused(float a, float b, float c) { return std::fma(a, b, c); }
+#else
+float fused(float a, float b, float c) {
+  const volatile float p = a * b;
+  return p + c;
+}
+#endif
+
+/// a * b rounded on its own (never contracted into the following add).
+float rounded_product(float a, float b) {
+  const volatile float p = a * b;
+  return p;
+}
+
+/// gemm_nn_acc: c starts from C, then c = fused(a[i][k], b[k][j], c) for
+/// k in order.
+void ref_nn_acc(std::size_t m, std::size_t k, std::size_t n, const float* a,
+                const float* b, float* c) {
+  for (std::size_t r = 0; r < m; ++r)
+    for (std::size_t kk = 0; kk < k; ++kk)
+      for (std::size_t j = 0; j < n; ++j)
+        c[r * n + j] = fused(a[r * k + kk], b[kk * n + j], c[r * n + j]);
+}
+
+/// gemm_nt_acc: s = 0; s = s + round(a[i][u] * b[j][u]) for u in order;
+/// c = c + s. The replaced loop was vectorised 16 and then 8 terms wide
+/// as an in-order reduction, with the products rounded on their own, and
+/// its last t % 8 terms ran as scalar fused steps; the kernel keeps that
+/// split so the bits stay the same.
+void ref_nt_acc(std::size_t m, std::size_t n, std::size_t t, const float* a,
+                const float* b, float* c) {
+  const std::size_t fused_from = t / 16 * 16 + (t % 16 >= 8 ? 8 : 0);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      float s = 0.0F;
+      for (std::size_t u = 0; u < t; ++u)
+        s = u < fused_from ? s + rounded_product(a[i * t + u], b[j * t + u])
+                           : fused(a[i * t + u], b[j * t + u], s);
+      c[i * n + j] = c[i * n + j] + s;
+    }
+}
+
+/// gemm_tn_acc: c starts from C, then c = fused(a[u][i], b[u][j], c) for
+/// u in order.
+void ref_tn_acc(std::size_t p, std::size_t m, std::size_t n, const float* a,
+                const float* b, float* c) {
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t u = 0; u < p; ++u)
+      for (std::size_t j = 0; j < n; ++j)
+        c[i * n + j] = fused(a[u * m + i], b[u * n + j], c[i * n + j]);
+}
+
+/// Uniform in [-1, 1) with about a fifth of the entries +0 or -0: the sign
+/// of a zero survives an FMA differently from a rounded multiply-add.
+std::vector<float> signed_zero_matrix(std::size_t rows, std::size_t cols,
+                                      std::uint64_t seed) {
+  auto m = random_matrix(static_cast<std::int64_t>(rows),
+                         static_cast<std::int64_t>(cols), seed);
+  for (float& v : m) {
+    if (v > 0.8F) v = 0.0F;
+    if (v < -0.8F) v = -0.0F;
+  }
+  return m;
+}
+
+void expect_bitwise(const std::vector<float>& got,
+                    const std::vector<float>& want, const char* what,
+                    std::size_t d0, std::size_t d1, std::size_t d2,
+                    GemmMode mode) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what << " (" << d0 << ", " << d1 << ", " << d2 << ") mode "
+      << static_cast<int>(mode);
+}
+
+constexpr GemmMode kModes[] = {GemmMode::kSerial, GemmMode::kParallel,
+                               GemmMode::kAuto};
+
+// Every remainder path: rows % 8 and % 4, columns below, at and past one
+// and two 16-lane vectors, depths on each side of 8 and 16 and past the
+// 128 / 256 depth chunks, and widths past the 256 / 1024 column blocks.
+TEST(GemmContract, NnMatchesReferenceBitwise) {
+  std::uint64_t seed = 300;
+  const std::size_t rows[] = {1, 3, 4, 7, 8, 13, 33};
+  const std::size_t depths[] = {1, 5, 16, 37, 64, 257};
+  const std::size_t cols[] = {1, 8, 15, 16, 17, 33, 47, 64, 1100};
+  for (const std::size_t m : rows)
+    for (const std::size_t k : depths)
+      for (const std::size_t n : cols) {
+        if (m * k * n > 600000) continue;
+        const auto a = signed_zero_matrix(m, k, ++seed);
+        const auto b = signed_zero_matrix(k, n, ++seed);
+        const auto c0 = signed_zero_matrix(m, n, ++seed);
+        auto want = c0;
+        ref_nn_acc(m, k, n, a.data(), b.data(), want.data());
+        for (const GemmMode mode : kModes) {
+          auto got = c0;
+          gemm_nn_acc(m, k, n, a.data(), b.data(), got.data(), mode);
+          expect_bitwise(got, want, "gemm_nn_acc", m, k, n, mode);
+        }
+      }
+}
+
+TEST(GemmContract, NtMatchesReferenceBitwise) {
+  std::uint64_t seed = 400;
+  std::vector<std::size_t> depths;
+  for (std::size_t t = 1; t <= 34; ++t) depths.push_back(t);
+  for (const std::size_t t : {64U, 100U, 129U, 216U, 300U}) depths.push_back(t);
+  const std::size_t rows[] = {1, 3, 4, 5, 9, 70};
+  const std::size_t cols[] = {1, 7, 16, 17, 37};
+  for (const std::size_t m : rows)
+    for (const std::size_t n : cols)
+      for (const std::size_t t : depths) {
+        const auto a = signed_zero_matrix(m, t, ++seed);
+        const auto b = signed_zero_matrix(n, t, ++seed);
+        const auto c0 = signed_zero_matrix(m, n, ++seed);
+        auto want = c0;
+        ref_nt_acc(m, n, t, a.data(), b.data(), want.data());
+        for (const GemmMode mode : kModes) {
+          auto got = c0;
+          gemm_nt_acc(m, n, t, a.data(), b.data(), got.data(), mode);
+          expect_bitwise(got, want, "gemm_nt_acc", m, n, t, mode);
+        }
+      }
+}
+
+TEST(GemmContract, TnMatchesReferenceBitwise) {
+  std::uint64_t seed = 500;
+  const std::size_t depths[] = {1, 5, 32};
+  const std::size_t rows[] = {1, 3, 4, 5, 9, 64};
+  const std::size_t cols[] = {1, 8, 15, 16, 17, 33, 47, 216, 300};
+  for (const std::size_t p : depths)
+    for (const std::size_t m : rows)
+      for (const std::size_t n : cols) {
+        const auto a = signed_zero_matrix(p, m, ++seed);
+        const auto b = signed_zero_matrix(p, n, ++seed);
+        const auto c0 = signed_zero_matrix(m, n, ++seed);
+        auto want = c0;
+        ref_tn_acc(p, m, n, a.data(), b.data(), want.data());
+        for (const GemmMode mode : kModes) {
+          auto got = c0;
+          gemm_tn_acc(p, m, n, a.data(), b.data(), got.data(), mode);
+          expect_bitwise(got, want, "gemm_tn_acc", p, m, n, mode);
+        }
+      }
 }
 
 }  // namespace

@@ -226,6 +226,35 @@ TEST(Autograd, DetachStopsGradients) {
   EXPECT_EQ(x.grad()[1], 4.0f);
 }
 
+TEST(Autograd, ConstantOperandsGetNoGradient) {
+  // A constant operand (the one-hot training batch, the reparameterisation
+  // noise, the condition vector) gets no gradient buffer and costs no
+  // backward GEMM; the parameters' gradients are the same bit for bit as
+  // when that operand does take a gradient.
+  Xoshiro256ss rng(3);
+  const auto xv = Tensor::randn({5, 7}, 1.0f, rng).data();
+  const auto wv = Tensor::randn({7, 3}, 1.0f, rng).data();
+  const auto cv = Tensor::randn({5, 2}, 1.0f, rng).data();
+  auto loss_of = [](const Tensor& x, const Tensor& w, const Tensor& c) {
+    return sum(square(concat_cols(mul(matmul(x, w), matmul(x, w)), c)));
+  };
+
+  const auto x_const = Tensor::from_data({5, 7}, xv);
+  const auto c_const = Tensor::from_data({5, 2}, cv);
+  auto w1 = Tensor::from_data({7, 3}, wv, true);
+  loss_of(x_const, w1, c_const).backward();
+
+  const auto x_var = Tensor::from_data({5, 7}, xv, true);
+  const auto c_var = Tensor::from_data({5, 2}, cv, true);
+  auto w2 = Tensor::from_data({7, 3}, wv, true);
+  loss_of(x_var, w2, c_var).backward();
+
+  EXPECT_TRUE(x_const.node()->grad.empty());
+  EXPECT_TRUE(c_const.node()->grad.empty());
+  EXPECT_FALSE(x_var.node()->grad.empty());
+  EXPECT_EQ(w1.grad(), w2.grad());
+}
+
 TEST(Autograd, SecondBackwardOverwritesGrads) {
   auto x = Tensor::from_data({1}, {2}, true);
   auto loss1 = square(x);
