@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   const auto throughput_props = cfg.get_int("throughput_props", 2000);
   const auto max_w = static_cast<int>(cfg.get_int("walkers", 1));
   const auto walker_props = cfg.get_int("walker_props", 600);
-  const auto delta_reps = cfg.get_int("delta_reps", 5000);
   cfg.require_all_read();
   bench::print_run_header("F4: proposal kernels compared", opts);
 
@@ -180,44 +179,6 @@ int main(int argc, char** argv) {
                  "walker's thread while the others wait, so it pays only\n"
                  "when that GEMM gets an OpenMP team on otherwise idle\n"
                  "cores; with one core per walker, plane-off is faster.\n\n";
-  }
-
-  // ---- sparse delta vs full recompute for whole-config assignment ----
-  {
-    const auto n = static_cast<std::uint64_t>(lat.num_sites());
-    mc::Rng rng(opts.seed, stream_id(0xF4, 3));
-    auto config = lattice::random_configuration(lat, 4, rng);
-    Table dtab({"changed_sites", "assign_delta_us", "total_energy_us"});
-    for (const int swaps : {4, 32, 256}) {
-      std::vector<lattice::Species> candidate(config.occupancy().begin(),
-                                              config.occupancy().end());
-      for (int sw = 0; sw < swaps; ++sw) {
-        const auto a = static_cast<std::size_t>(uniform_index(rng, n));
-        const auto b = static_cast<std::size_t>(uniform_index(rng, n));
-        std::swap(candidate[a], candidate[b]);
-      }
-      lattice::DeltaWorkspace ws;
-      std::int32_t changed = 0;
-      double sink = 0.0;
-      Stopwatch sparse_clock;
-      for (std::int64_t i = 0; i < delta_reps; ++i) {
-        const auto d = ham.assign_delta(config, candidate, ws);
-        sink += d.delta_energy;
-        changed = d.n_changed;
-      }
-      const double sparse_us =
-          1e6 * sparse_clock.seconds() / static_cast<double>(delta_reps);
-      Stopwatch full_clock;
-      for (std::int64_t i = 0; i < delta_reps; ++i)
-        sink += ham.total_energy(config);
-      const double full_us =
-          1e6 * full_clock.seconds() / static_cast<double>(delta_reps);
-      volatile double guard = sink;  // keep the timed loops observable
-      (void)guard;
-      dtab.add(static_cast<std::int64_t>(changed), sparse_us, full_us);
-    }
-    bench::emit(dtab, cfg, "Table F4c: sparse delta vs full recompute",
-                "_delta");
   }
 
   std::cout << "expected shape: the mixed DeepThermo kernel reaches more\n"

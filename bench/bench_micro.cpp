@@ -49,30 +49,6 @@ void BM_TotalEnergy(benchmark::State& state) {
 // {10} is N = 2000, the vae2000 scale.
 BENCHMARK(BM_TotalEnergy)->Arg(4)->Arg(8)->Arg(10);
 
-// Sparse changed-site energy walk vs a full recompute.
-// range(1) = number of random swaps in the candidate (2 changed sites
-// each); compare against BM_TotalEnergy at the same cells.
-void BM_AssignDelta(benchmark::State& state) {
-  System sys(static_cast<int>(state.range(0)));
-  mc::Rng rng(12, 0);
-  auto cfg = lattice::random_configuration(sys.lat, 4, rng);
-  const auto n = static_cast<std::uint64_t>(sys.lat.num_sites());
-  std::vector<lattice::Species> candidate(cfg.occupancy().begin(),
-                                          cfg.occupancy().end());
-  for (std::int64_t sw = 0; sw < state.range(1); ++sw) {
-    const auto a = static_cast<std::size_t>(uniform_index(rng, n));
-    const auto b = static_cast<std::size_t>(uniform_index(rng, n));
-    std::swap(candidate[a], candidate[b]);
-  }
-  lattice::DeltaWorkspace ws;
-  for (auto _ : state) {
-    const auto d = sys.ham.assign_delta(cfg, candidate, ws);
-    benchmark::DoNotOptimize(d.delta_energy);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AssignDelta)->Args({8, 8})->Args({8, 64})->Args({8, 512});
-
 void BM_WangLandauSweep(benchmark::State& state) {
   System sys(static_cast<int>(state.range(0)));
   mc::Rng rng(3, 0);

@@ -10,8 +10,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <cstdint>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "ckpt/signal.hpp"
 #include "common/config.hpp"
@@ -102,6 +105,16 @@ dt::lattice::LatticeType parse_lattice(const std::string& name) {
   throw dt::Error("unknown lattice type: " + name);
 }
 
+/// cfg.get_int(key) narrowed to T. A value T cannot hold is rejected,
+/// naming the key, instead of wrapping.
+template <class T>
+T get_int_as(const dt::Config& cfg, const std::string& key, T fallback) {
+  const std::int64_t v = cfg.get_int(key, static_cast<std::int64_t>(fallback));
+  DT_CHECK_MSG(std::in_range<T>(v),
+               "config key '" << key << "' is out of range: " << v);
+  return static_cast<T>(v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,18 +147,18 @@ int main(int argc, char** argv) {
   const std::string telemetry_path = cfg.get_string("telemetry", "");
   obs::HttpServerOptions so;
   so.bind = cfg.get_string("obs_http_bind", "127.0.0.1");
-  so.port = static_cast<int>(cfg.get_int("obs_http_port", -1));
+  so.port = get_int_as(cfg, "obs_http_port", -1);
 
   core::DeepThermoOptions opts;
   opts.lattice.type = parse_lattice(cfg.get_string("lattice", "bcc"));
-  const auto cells = static_cast<int>(cfg.get_int("cells", 3));
+  const auto cells = get_int_as(cfg, "cells", 3);
   opts.lattice.nx = opts.lattice.ny = opts.lattice.nz = cells;
-  opts.n_species = static_cast<int>(cfg.get_int("n_species", 4));
-  opts.n_bins = static_cast<std::int32_t>(cfg.get_int("bins", 80));
-  opts.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 2023));
+  opts.n_species = get_int_as(cfg, "n_species", 4);
+  opts.n_bins = get_int_as<std::int32_t>(cfg, "bins", 80);
+  opts.seed = get_int_as<std::uint64_t>(cfg, "seed", 2023);
   opts.rewl.seed = opts.seed;
-  opts.rewl.n_windows = static_cast<int>(cfg.get_int("windows", 2));
-  opts.rewl.walkers_per_window = static_cast<int>(cfg.get_int("walkers", 1));
+  opts.rewl.n_windows = get_int_as(cfg, "windows", 2);
+  opts.rewl.walkers_per_window = get_int_as(cfg, "walkers", 1);
   opts.rewl.overlap = cfg.get_double("overlap", 0.75);
   opts.rewl.max_sweeps = cfg.get_int("max_sweeps", 300000);
   opts.rewl.wl.log_f_final = cfg.get_double("log_f_final", 1e-4);
@@ -155,9 +168,8 @@ int main(int argc, char** argv) {
   opts.condition_on_energy = cfg.get_bool("condition_on_energy", false);
   opts.vae.hidden = cfg.get_int("vae_hidden", 64);
   opts.vae.latent = cfg.get_int("vae_latent", 8);
-  opts.vae.epochs = static_cast<int>(cfg.get_int("vae_epochs", 12));
-  opts.vae_decode_batch =
-      static_cast<std::int32_t>(cfg.get_int("decode_batch", 0));
+  opts.vae.epochs = get_int_as(cfg, "vae_epochs", 12);
+  opts.vae_decode_batch = get_int_as<std::int32_t>(cfg, "decode_batch", 0);
   opts.decode_plane = cfg.get_bool("decode_plane", opts.decode_plane);
   opts.decode_plane_window_us =
       cfg.get_int("decode_plane_window_us", opts.decode_plane_window_us);
@@ -166,13 +178,13 @@ int main(int argc, char** argv) {
   opts.checkpoint_interval_rounds = cfg.get_int("checkpoint_interval", 25);
   opts.checkpoint_min_interval_seconds =
       cfg.get_double("checkpoint_min_interval", 1.0);
-  opts.checkpoint_keep = static_cast<int>(cfg.get_int("checkpoint_keep", 3));
+  opts.checkpoint_keep = get_int_as(cfg, "checkpoint_keep", 3);
   opts.resume = cfg.get_bool("resume", false);
   opts.rewl.watchdog_stall_seconds =
       cfg.get_double("watchdog_stall_seconds", 0.0);
   const double t_lo = cfg.get_double("t_lo", 0.005);
   const double t_hi = cfg.get_double("t_hi", 0.4);
-  const auto n_t = static_cast<std::size_t>(cfg.get_int("t_points", 40));
+  const auto n_t = get_int_as<std::size_t>(cfg, "t_points", 40);
   const std::string dos_out = cfg.get_string("dos_out", "");
   const std::string scan_out = cfg.get_string("scan_out", "");
   cfg.require_all_read();

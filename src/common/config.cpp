@@ -1,6 +1,8 @@
 #include "common/config.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <iterator>
@@ -94,9 +96,12 @@ std::int64_t Config::get_int(const std::string& key,
   const auto v = find(key);
   if (!v) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
   DT_CHECK_MSG(end && *end == '\0',
                "config key '" << key << "' is not an integer: " << *v);
+  DT_CHECK_MSG(errno != ERANGE,
+               "config key '" << key << "' is out of range: " << *v);
   return parsed;
 }
 
@@ -104,9 +109,12 @@ double Config::get_double(const std::string& key, double fallback) const {
   const auto v = find(key);
   if (!v) return fallback;
   char* end = nullptr;
+  errno = 0;
   const double parsed = std::strtod(v->c_str(), &end);
   DT_CHECK_MSG(end && *end == '\0',
                "config key '" << key << "' is not a number: " << *v);
+  DT_CHECK_MSG(errno != ERANGE && std::isfinite(parsed),
+               "config key '" << key << "' is out of range: " << *v);
   return parsed;
 }
 

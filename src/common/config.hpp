@@ -35,6 +35,8 @@ class Config {
 
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
+  /// The numeric getters throw dt::Error naming the key when the value
+  /// is not a number, does not fit the return type, or is not finite.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,

@@ -2,9 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-
-#include "common/error.hpp"
 
 namespace dt {
 
@@ -97,308 +94,6 @@ JsonWriter& JsonWriter::raw(std::string_view k, std::string_view json) {
   key(k);
   body_ += json;
   return *this;
-}
-
-// ---- JsonValue -----------------------------------------------------------
-
-namespace {
-
-constexpr int kMaxDepth = 64;
-
-struct Parser {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(const char* what) const {
-    throw Error("json: " + std::string(what) + " at offset " +
-                std::to_string(pos));
-  }
-  [[nodiscard]] bool eof() const { return pos >= s.size(); }
-  [[nodiscard]] char peek() const { return s[pos]; }
-
-  void skip_ws() {
-    while (!eof()) {
-      const char c = s[pos];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos;
-    }
-  }
-
-  void expect(char c) {
-    if (eof() || s[pos] != c) fail("unexpected character");
-    ++pos;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (s.substr(pos, lit.size()) != lit) return false;
-    pos += lit.size();
-    return true;
-  }
-
-  /// One \uXXXX unit (the backslash and 'u' already consumed).
-  std::uint32_t hex4() {
-    if (pos + 4 > s.size()) fail("truncated \\u escape");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = s[pos++];
-      v <<= 4;
-      if (c >= '0' && c <= '9')
-        v |= static_cast<std::uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f')
-        v |= static_cast<std::uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F')
-        v |= static_cast<std::uint32_t>(c - 'A' + 10);
-      else
-        fail("bad hex digit in \\u escape");
-    }
-    return v;
-  }
-
-  void append_utf8(std::string& out, std::uint32_t cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xc0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3f));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xe0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-      out += static_cast<char>(0x80 | (cp & 0x3f));
-    } else {
-      out += static_cast<char>(0xf0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-      out += static_cast<char>(0x80 | (cp & 0x3f));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (eof()) fail("unterminated string");
-      const char c = s[pos];
-      if (c == '"') {
-        ++pos;
-        return out;
-      }
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        ++pos;
-        continue;
-      }
-      ++pos;
-      if (eof()) fail("truncated escape");
-      const char e = s[pos++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          std::uint32_t cp = hex4();
-          if (cp >= 0xd800 && cp <= 0xdbff) {
-            // High surrogate: a low surrogate must follow.
-            if (pos + 1 >= s.size() || s[pos] != '\\' || s[pos + 1] != 'u')
-              fail("unpaired high surrogate");
-            pos += 2;
-            const std::uint32_t lo = hex4();
-            if (lo < 0xdc00 || lo > 0xdfff) fail("bad low surrogate");
-            cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-          } else if (cp >= 0xdc00 && cp <= 0xdfff) {
-            fail("unpaired low surrogate");
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default:
-          fail("bad escape character");
-      }
-    }
-  }
-
-  double parse_number() {
-    const std::size_t start = pos;
-    if (!eof() && peek() == '-') ++pos;
-    // Integer part: 0, or [1-9][0-9]* -- leading zeros are invalid JSON.
-    if (eof() || peek() < '0' || peek() > '9') fail("bad number");
-    if (peek() == '0') {
-      ++pos;
-    } else {
-      while (!eof() && peek() >= '0' && peek() <= '9') ++pos;
-    }
-    if (!eof() && peek() == '.') {
-      ++pos;
-      if (eof() || peek() < '0' || peek() > '9') fail("bad number fraction");
-      while (!eof() && peek() >= '0' && peek() <= '9') ++pos;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos;
-      if (eof() || peek() < '0' || peek() > '9') fail("bad number exponent");
-      while (!eof() && peek() >= '0' && peek() <= '9') ++pos;
-    }
-    const std::string token(s.substr(start, pos - start));
-    const double v = std::strtod(token.c_str(), nullptr);
-    if (!std::isfinite(v))
-      fail("number overflows double");  // could not round-trip via dump()
-    return v;
-  }
-
-  JsonValue parse_value(int depth) {
-    if (depth > kMaxDepth) fail("nesting too deep");
-    skip_ws();
-    if (eof()) fail("unexpected end of input");
-    const char c = peek();
-    if (c == '{') {
-      ++pos;
-      JsonValue::Object members;
-      skip_ws();
-      if (!eof() && peek() == '}') {
-        ++pos;
-      } else {
-        while (true) {
-          skip_ws();
-          std::string key = parse_string();
-          skip_ws();
-          expect(':');
-          members.emplace_back(std::move(key), parse_value(depth + 1));
-          skip_ws();
-          if (eof()) fail("unterminated object");
-          if (peek() == ',') {
-            ++pos;
-            continue;
-          }
-          expect('}');
-          break;
-        }
-      }
-      return JsonValue::make_object(std::move(members));
-    }
-    if (c == '[') {
-      ++pos;
-      JsonValue::Array items;
-      skip_ws();
-      if (!eof() && peek() == ']') {
-        ++pos;
-      } else {
-        while (true) {
-          items.push_back(parse_value(depth + 1));
-          skip_ws();
-          if (eof()) fail("unterminated array");
-          if (peek() == ',') {
-            ++pos;
-            continue;
-          }
-          expect(']');
-          break;
-        }
-      }
-      return JsonValue::make_array(std::move(items));
-    }
-    if (c == '"') return JsonValue(parse_string());
-    if (consume_literal("true")) return JsonValue(true);
-    if (consume_literal("false")) return JsonValue(false);
-    if (consume_literal("null")) return JsonValue();
-    return JsonValue(parse_number());
-  }
-};
-
-}  // namespace
-
-JsonValue JsonValue::make_array(Array items) {
-  JsonValue v;
-  v.value_ = std::move(items);
-  return v;
-}
-
-JsonValue JsonValue::make_object(Object members) {
-  JsonValue v;
-  v.value_ = std::move(members);
-  return v;
-}
-
-JsonValue JsonValue::parse(std::string_view text) {
-  Parser p{text};
-  JsonValue v = p.parse_value(0);
-  p.skip_ws();
-  if (!p.eof()) p.fail("trailing garbage after document");
-  return v;
-}
-
-JsonValue::Type JsonValue::type() const {
-  return static_cast<Type>(value_.index());
-}
-
-bool JsonValue::as_bool() const {
-  DT_CHECK_MSG(std::holds_alternative<bool>(value_), "json: not a bool");
-  return std::get<bool>(value_);
-}
-
-double JsonValue::as_number() const {
-  DT_CHECK_MSG(std::holds_alternative<double>(value_), "json: not a number");
-  return std::get<double>(value_);
-}
-
-const std::string& JsonValue::as_string() const {
-  DT_CHECK_MSG(std::holds_alternative<std::string>(value_),
-               "json: not a string");
-  return std::get<std::string>(value_);
-}
-
-const JsonValue::Array& JsonValue::as_array() const {
-  DT_CHECK_MSG(std::holds_alternative<Array>(value_), "json: not an array");
-  return std::get<Array>(value_);
-}
-
-const JsonValue::Object& JsonValue::as_object() const {
-  DT_CHECK_MSG(std::holds_alternative<Object>(value_), "json: not an object");
-  return std::get<Object>(value_);
-}
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  for (const auto& [k, v] : as_object())
-    if (k == key) return &v;
-  return nullptr;
-}
-
-std::string JsonValue::dump() const {
-  switch (type()) {
-    case Type::kNull:
-      return "null";
-    case Type::kBool:
-      return std::get<bool>(value_) ? "true" : "false";
-    case Type::kNumber:
-      return json_number(std::get<double>(value_));
-    case Type::kString:
-      return '"' + json_escape(std::get<std::string>(value_)) + '"';
-    case Type::kArray: {
-      std::string out = "[";
-      const auto& items = std::get<Array>(value_);
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0) out += ',';
-        out += items[i].dump();
-      }
-      return out + ']';
-    }
-    case Type::kObject: {
-      std::string out = "{";
-      const auto& members = std::get<Object>(value_);
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (i != 0) out += ',';
-        out += '"' + json_escape(members[i].first) + "\":";
-        out += members[i].second.dump();
-      }
-      return out + '}';
-    }
-  }
-  return "null";  // unreachable
 }
 
 }  // namespace dt

@@ -1,17 +1,11 @@
-// Minimal JSON helpers shared by the logger, the telemetry sinks, the
-// bench summary writer and the validation tooling: escape/number
-// formatting, an incremental object writer, and a small parsed-value
-// tree (JsonValue) whose parse -> dump -> parse cycle is bit-identical
-// for any finite document, so golden JSON artifacts can be compared as
-// strings.
+// Minimal JSON writing helpers shared by the logger, the telemetry
+// sinks, the /status endpoint and the bench summary writer: string
+// escaping, number formatting and an incremental object writer.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <variant>
-#include <vector>
 
 namespace dt {
 
@@ -52,52 +46,6 @@ class JsonWriter {
  private:
   void key(std::string_view k);
   std::string body_;
-};
-
-/// Parsed JSON document. Strict RFC 8259 subset: the parser rejects
-/// malformed input with dt::Error (never UB), enforces a nesting-depth
-/// limit, decodes \uXXXX escapes (including surrogate pairs) to UTF-8,
-/// and refuses numbers that overflow a double (they could not round-trip
-/// -- json_number emits non-finite values as null). Object members keep
-/// insertion order and duplicates, so dump() is a faithful canonical
-/// re-serialisation: parse(dump(v)) == v bit-exactly.
-class JsonValue {
- public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  using Array = std::vector<JsonValue>;
-  using Object = std::vector<std::pair<std::string, JsonValue>>;
-
-  JsonValue() = default;  // null
-  explicit JsonValue(bool b) : value_(b) {}
-  explicit JsonValue(double n) : value_(n) {}
-  explicit JsonValue(std::string s) : value_(std::move(s)) {}
-  static JsonValue make_array(Array items);
-  static JsonValue make_object(Object members);
-
-  /// Parse a complete document (one value plus whitespace). Throws
-  /// dt::Error on any syntax violation or trailing garbage.
-  static JsonValue parse(std::string_view text);
-
-  [[nodiscard]] Type type() const;
-  [[nodiscard]] bool is_null() const { return type() == Type::kNull; }
-  [[nodiscard]] bool as_bool() const;      ///< throws unless kBool
-  [[nodiscard]] double as_number() const;  ///< throws unless kNumber
-  [[nodiscard]] const std::string& as_string() const;
-  [[nodiscard]] const Array& as_array() const;
-  [[nodiscard]] const Object& as_object() const;
-
-  /// First member with `key`, or nullptr (objects only; throws otherwise).
-  [[nodiscard]] const JsonValue* find(std::string_view key) const;
-
-  /// Canonical serialisation: json_escape strings, json_number numbers,
-  /// no insignificant whitespace.
-  [[nodiscard]] std::string dump() const;
-
-  bool operator==(const JsonValue& other) const = default;
-
- private:
-  std::variant<std::monostate, bool, double, std::string, Array, Object>
-      value_;
 };
 
 }  // namespace dt

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/math.hpp"
 #include "common/rng.hpp"
 
 namespace dt::lattice {
@@ -87,42 +86,11 @@ EpiHamiltonian::EpiHamiltonian(int n_species,
 }
 
 double EpiHamiltonian::total_energy(const Configuration& cfg) const {
-  // Below this size the OpenMP fork/join overhead exceeds the work; the
-  // threshold is deliberately high because walkers already run one per
-  // thread in REWL (nested parallelism is disabled by default there).
-  constexpr std::int32_t kParallelThreshold = 16384;
-  return cfg.num_sites() >= kParallelThreshold ? total_energy_parallel(cfg)
-                                               : total_energy_serial(cfg);
-}
-
-double EpiHamiltonian::total_energy_serial(const Configuration& cfg) const {
   const Species* occ = cfg.occupancy().data();
   PairCounter bonds(cfg.lattice(), n_species_, n_shells_);
   for (std::int32_t site = 0; site < cfg.num_sites(); ++site)
     bonds.add_site(site, occ[site], occ);
   return energy_from_counts(bonds.counts(), 2);  // seen from both ends
-}
-
-double EpiHamiltonian::total_energy_parallel(const Configuration& cfg) const {
-  const Species* occ = cfg.occupancy().data();
-  const auto n_counts = static_cast<std::size_t>(n_shells_ * n_species_ *
-                                                 n_species_);
-  // Each thread counts its own sites; integer totals add up to the same
-  // counts in any order, so the energy equals total_energy_serial's.
-  std::array<std::uint64_t, PairCounter::kMaxCounts> totals{};
-#pragma omp parallel
-  {
-    PairCounter bonds(cfg.lattice(), n_species_, n_shells_);
-#pragma omp for schedule(static) nowait
-    for (std::int32_t site = 0; site < cfg.num_sites(); ++site)
-      bonds.add_site(site, occ[site], occ);
-    const auto mine = bonds.counts();
-    for (std::size_t k = 0; k < n_counts; ++k) {
-#pragma omp atomic
-      totals[k] += mine[k];
-    }
-  }
-  return energy_from_counts({totals.data(), n_counts}, 2);
 }
 
 double EpiHamiltonian::energy_from_counts(
@@ -152,17 +120,6 @@ double EpiHamiltonian::energy_from_counts(
   return energy;
 }
 
-double EpiHamiltonian::site_energy(const Configuration& cfg,
-                                   std::int32_t site) const {
-  const Lattice& lat = cfg.lattice();
-  double energy = 0.0;
-  const Species a = cfg.at(site);
-  for (int s = 0; s < n_shells(); ++s)
-    for (std::int32_t nb : lat.neighbors(site, s))
-      energy += coupling(s, a, cfg.at(nb));
-  return energy;
-}
-
 double EpiHamiltonian::swap_delta(const Configuration& cfg, std::int32_t a,
                                   std::int32_t b) const {
   const Species sa = cfg.at(a);
@@ -189,62 +146,6 @@ double EpiHamiltonian::swap_delta(const Configuration& cfg, std::int32_t a,
     }
   }
   return delta;
-}
-
-double EpiHamiltonian::set_delta(const Configuration& cfg, std::int32_t site,
-                                 Species species) const {
-  const Species old = cfg.at(site);
-  if (old == species) return 0.0;
-  const Lattice& lat = cfg.lattice();
-  double delta = 0.0;
-  for (int s = 0; s < n_shells(); ++s)
-    for (std::int32_t nb : lat.neighbors(site, s))
-      delta += coupling(s, species, cfg.at(nb)) - coupling(s, old, cfg.at(nb));
-  return delta;
-}
-
-AssignDeltaResult EpiHamiltonian::assign_delta(
-    const Configuration& cfg, std::span<const Species> candidate,
-    DeltaWorkspace& ws) const {
-  const Lattice& lat = cfg.lattice();
-  const std::int32_t n = lat.num_sites();
-  DT_CHECK_MSG(candidate.size() == static_cast<std::size_t>(n),
-               "assign_delta: candidate size mismatch");
-  DT_CHECK_MSG(n_shells() <= lat.num_shells(),
-               "Hamiltonian has more shells than the lattice resolves");
-
-  ws.changed_mask.assign(static_cast<std::size_t>(n), 0);
-  ws.changed_sites.clear();
-  for (std::int32_t i = 0; i < n; ++i) {
-    if (cfg.at(i) != candidate[static_cast<std::size_t>(i)]) {
-      ws.changed_mask[static_cast<std::size_t>(i)] = 1;
-      ws.changed_sites.push_back(i);
-    }
-  }
-
-  KahanSum delta;
-  for (int s = 0; s < n_shells(); ++s) {
-    for (std::int32_t i : ws.changed_sites) {
-      const Species old_i = cfg.at(i);
-      const Species new_i = candidate[static_cast<std::size_t>(i)];
-      for (std::int32_t nb : lat.neighbors(i, s)) {
-        if (ws.changed_mask[static_cast<std::size_t>(nb)] == 0) {
-          // The neighbour keeps its species: field-term difference.
-          const Species b = cfg.at(nb);
-          delta.add(coupling(s, new_i, b) - coupling(s, old_i, b));
-        } else if (nb > i) {
-          // Both endpoints change: count the bond exactly once.
-          delta.add(coupling(s, new_i,
-                             candidate[static_cast<std::size_t>(nb)]) -
-                    coupling(s, old_i, cfg.at(nb)));
-        }
-      }
-    }
-  }
-  AssignDeltaResult result;
-  result.delta_energy = delta.value();
-  result.n_changed = static_cast<std::int32_t>(ws.changed_sites.size());
-  return result;
 }
 
 std::int64_t EpiHamiltonian::bond_count(const Lattice& lat) const {

@@ -118,18 +118,6 @@ class PairCounter {
   std::array<std::uint64_t, kMaxCounts> totals_;
 };
 
-/// Reusable scratch for EpiHamiltonian::assign_delta -- holding it in the
-/// caller (one per walker) keeps the hot path allocation-free.
-struct DeltaWorkspace {
-  std::vector<std::uint8_t> changed_mask;     // per-site "differs" flag
-  std::vector<std::int32_t> changed_sites;    // indices of changed sites
-};
-
-struct AssignDeltaResult {
-  double delta_energy = 0.0;
-  std::int32_t n_changed = 0;  ///< sites where candidate differs from cfg
-};
-
 class EpiHamiltonian {
  public:
   /// `couplings[s]` is the row-major S x S matrix V_s; each must be
@@ -159,13 +147,8 @@ class EpiHamiltonian {
   }
 
   /// Total energy: the configuration's bonds counted by a PairCounter
-  /// and priced by energy_from_counts. Large lattices count in an OpenMP
-  /// team; the counts are integers, so both paths agree bit for bit.
+  /// and priced by energy_from_counts.
   [[nodiscard]] double total_energy(const Configuration& cfg) const;
-
-  /// Force the serial / parallel path (testing and benchmarking).
-  [[nodiscard]] double total_energy_serial(const Configuration& cfg) const;
-  [[nodiscard]] double total_energy_parallel(const Configuration& cfg) const;
 
   /// Energy of PairCounter::counts() over this Hamiltonian's shells and
   /// species, in which every bond was seen `seen` times (1 or 2, see
@@ -175,30 +158,10 @@ class EpiHamiltonian {
   [[nodiscard]] double energy_from_counts(
       std::span<const std::uint64_t> counts, int seen = 1) const;
 
-  /// Energy of the bonds incident to `site` (pairs with all neighbours).
-  [[nodiscard]] double site_energy(const Configuration& cfg,
-                                   std::int32_t site) const;
-
   /// Energy change of exchanging the species at sites `a` and `b`
   /// (without mutating cfg). Exact also when a and b are neighbours.
   [[nodiscard]] double swap_delta(const Configuration& cfg, std::int32_t a,
                                   std::int32_t b) const;
-
-  /// Energy change of re-assigning `site` to `species`.
-  [[nodiscard]] double set_delta(const Configuration& cfg, std::int32_t site,
-                                 Species species) const;
-
-  /// Energy change of replacing cfg's occupancy wholesale by `candidate`
-  /// (same length; cfg is NOT mutated), visiting only the bonds incident
-  /// to CHANGED sites -- O(f N z) for a changed-site fraction f instead
-  /// of the O(N z) full recompute. Exact: bonds between two changed
-  /// sites are counted once (via the nb > site rule), bonds to unchanged
-  /// neighbours contribute their coupling difference. The walk is
-  /// cheaper than total_energy only when f < 1/2; the VAE global move
-  /// changes most sites and counts its candidate's bonds instead.
-  AssignDeltaResult assign_delta(const Configuration& cfg,
-                                 std::span<const Species> candidate,
-                                 DeltaWorkspace& ws) const;
 
   /// Lower/upper bounds on the per-bond coupling, used to bracket the
   /// reachable energy range: N_bonds * min <= E <= N_bonds * max.

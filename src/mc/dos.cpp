@@ -81,14 +81,6 @@ double DensityOfStates::log_range() const {
   return hi - lo;
 }
 
-std::vector<double> DensityOfStates::visited_bins() const {
-  std::vector<double> out;
-  for (std::int32_t b = 0; b < grid_.n_bins(); ++b)
-    if (visited_[static_cast<std::size_t>(b)])
-      out.push_back(static_cast<double>(b));
-  return out;
-}
-
 DensityOfStates DensityOfStates::stitch(
     const std::vector<DensityOfStates>& parts) {
   DT_CHECK(!parts.empty());

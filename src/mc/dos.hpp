@@ -51,10 +51,6 @@ class DensityOfStates {
   /// Span of ln g over visited bins (the paper's "range of ~e^10,000").
   [[nodiscard]] double log_range() const;
 
-  /// ln g with linear interpolation between visited bin centres (used by
-  /// thermodynamic reweighting to smooth discretisation).
-  [[nodiscard]] std::vector<double> visited_bins() const;
-
   /// Join window fragments. Fragments must share this->grid(); each pair
   /// of adjacent (by energy) fragments must overlap in >= 2 visited bins.
   /// The offset of each fragment is chosen where the local slopes

@@ -108,27 +108,4 @@ void BlockSwapProposal::revert(Configuration& cfg) {
   applied_.clear();
 }
 
-MixtureProposal::MixtureProposal(Proposal& local, Proposal& global,
-                                 double global_fraction)
-    : local_(&local), global_(&global), global_fraction_(global_fraction) {
-  DT_CHECK(global_fraction >= 0.0 && global_fraction <= 1.0);
-}
-
-ProposalResult MixtureProposal::propose(Configuration& cfg,
-                                        units::Energy current_energy,
-                                        Rng& rng) {
-  last_was_global_ = uniform01(rng) < global_fraction_;
-  Proposal& component = last_was_global_ ? *global_ : *local_;
-  return component.propose(cfg, current_energy, rng);
-}
-
-void MixtureProposal::revert(Configuration& cfg) {
-  Proposal& component = last_was_global_ ? *global_ : *local_;
-  component.revert(cfg);
-}
-
-std::string MixtureProposal::name() const {
-  return "mix(" + local_->name() + "," + global_->name() + ")";
-}
-
 }  // namespace dt::mc

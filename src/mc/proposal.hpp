@@ -109,28 +109,4 @@ class BlockSwapProposal final : public Proposal {
   std::vector<std::pair<std::int32_t, std::int32_t>> applied_;
 };
 
-/// Mixture kernel: with probability `global_fraction` draw from `global`,
-/// otherwise from `local`. Each component carries its own q-correction, so
-/// the mixture is a valid MH kernel as long as component selection is
-/// state-independent (it is: a fixed Bernoulli).
-class MixtureProposal final : public Proposal {
- public:
-  MixtureProposal(Proposal& local, Proposal& global, double global_fraction);
-
-  ProposalResult propose(lattice::Configuration& cfg,
-                         units::Energy current_energy, Rng& rng) override;
-  void revert(lattice::Configuration& cfg) override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] bool is_global() const override { return false; }
-
-  /// Which component produced the last proposal (for acceptance stats).
-  [[nodiscard]] bool last_was_global() const { return last_was_global_; }
-
- private:
-  Proposal* local_;
-  Proposal* global_;
-  double global_fraction_;
-  bool last_was_global_ = false;
-};
-
 }  // namespace dt::mc

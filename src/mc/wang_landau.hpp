@@ -95,7 +95,6 @@ class WangLandauSampler {
   bool seek_window(Proposal& proposal, std::int64_t max_sweeps);
 
   [[nodiscard]] const DensityOfStates& dos() const { return dos_; }
-  [[nodiscard]] DensityOfStates& mutable_dos() { return dos_; }
   [[nodiscard]] const Histogram& histogram() const { return histogram_; }
   [[nodiscard]] const WangLandauStats& stats() const { return stats_; }
   [[nodiscard]] double log_f() const { return log_f_; }

@@ -42,30 +42,6 @@ Tensor Linear::forward(const Tensor& x) {
 
 std::vector<Tensor> Linear::parameters() const { return {weight_, bias_}; }
 
-Tensor Activation::forward(const Tensor& x) {
-  switch (kind_) {
-    case ActivationKind::kTanh:
-      return tensor::tanh(x);
-    case ActivationKind::kRelu:
-      return tensor::relu(x);
-    case ActivationKind::kSigmoid:
-      return tensor::sigmoid(x);
-  }
-  throw Error("unknown activation kind");
-}
-
-std::string Activation::name() const {
-  switch (kind_) {
-    case ActivationKind::kTanh:
-      return "tanh";
-    case ActivationKind::kRelu:
-      return "relu";
-    case ActivationKind::kSigmoid:
-      return "sigmoid";
-  }
-  return "?";
-}
-
 Sequential& Sequential::add(std::unique_ptr<Module> module) {
   DT_CHECK(module != nullptr);
   modules_.push_back(std::move(module));
@@ -85,17 +61,6 @@ std::vector<Tensor> Sequential::parameters() const {
     out.insert(out.end(), p.begin(), p.end());
   }
   return out;
-}
-
-std::unique_ptr<Sequential> make_mlp(const std::vector<std::int64_t>& sizes,
-                                     ActivationKind act, Xoshiro256ss& rng) {
-  DT_CHECK_MSG(sizes.size() >= 2, "MLP needs at least in/out sizes");
-  auto seq = std::make_unique<Sequential>();
-  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
-    seq->add(std::make_unique<Linear>(sizes[i], sizes[i + 1], rng));
-    if (i + 2 < sizes.size()) seq->add(std::make_unique<Activation>(act));
-  }
-  return seq;
 }
 
 }  // namespace dt::nn

@@ -2,7 +2,7 @@
 //
 // Modules own parameter Tensors (requires_grad) and build the forward
 // graph on demand. Only what the VAE proposal network needs is provided:
-// Linear, pointwise activations and Sequential composition.
+// Linear, its tanh activation and Sequential composition.
 #pragma once
 
 #include <memory>
@@ -45,17 +45,12 @@ class Linear final : public Module {
   Tensor bias_;    // (out)
 };
 
-enum class ActivationKind { kTanh, kRelu, kSigmoid };
-
-class Activation final : public Module {
+/// Pointwise tanh, the VAE's hidden-layer activation.
+class Tanh final : public Module {
  public:
-  explicit Activation(ActivationKind kind) : kind_(kind) {}
-  Tensor forward(const Tensor& x) override;
+  Tensor forward(const Tensor& x) override { return tensor::tanh(x); }
   [[nodiscard]] std::vector<Tensor> parameters() const override { return {}; }
-  [[nodiscard]] std::string name() const override;
-
- private:
-  ActivationKind kind_;
+  [[nodiscard]] std::string name() const override { return "tanh"; }
 };
 
 class Sequential final : public Module {
@@ -74,10 +69,5 @@ class Sequential final : public Module {
  private:
   std::vector<std::unique_ptr<Module>> modules_;
 };
-
-/// Standard MLP builder: sizes {in, h1, ..., out} with `act` between
-/// layers (none after the final layer).
-std::unique_ptr<Sequential> make_mlp(const std::vector<std::int64_t>& sizes,
-                                     ActivationKind act, Xoshiro256ss& rng);
 
 }  // namespace dt::nn

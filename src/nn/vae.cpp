@@ -60,7 +60,7 @@ Vae::Vae(VaeOptions options, std::uint64_t seed) : options_(options) {
   const std::int64_t cond = options_.condition_dim;
   auto enc = std::make_unique<Sequential>();
   enc->add(std::make_unique<Linear>(input_dim() + cond, options_.hidden, rng));
-  enc->add(std::make_unique<Activation>(ActivationKind::kTanh));
+  enc->add(std::make_unique<Tanh>());
   encoder_ = std::move(enc);
   mu_head_ = std::make_unique<Linear>(options_.hidden, options_.latent, rng);
   logvar_head_ =
@@ -69,7 +69,7 @@ Vae::Vae(VaeOptions options, std::uint64_t seed) : options_(options) {
   auto dec = std::make_unique<Sequential>();
   dec->add(
       std::make_unique<Linear>(options_.latent + cond, options_.hidden, rng));
-  dec->add(std::make_unique<Activation>(ActivationKind::kTanh));
+  dec->add(std::make_unique<Tanh>());
   dec->add(std::make_unique<Linear>(options_.hidden, input_dim(), rng));
   decoder_ = std::move(dec);
 }
@@ -256,21 +256,6 @@ void Vae::decode_probs_rows(std::span<const float> zc, std::int64_t rows,
     for (std::size_t k = 0; k < s; ++k)
       block[k] = scale * block[k] + floor_each;
   }
-}
-
-std::vector<float> Vae::encode_mean(std::span<const float> onehot,
-                                    std::span<const float> condition) {
-  DT_CHECK(static_cast<std::int64_t>(onehot.size()) == input_dim());
-  DT_CHECK_MSG(static_cast<std::int64_t>(condition.size()) ==
-                   options_.condition_dim,
-               "encode_mean(): condition size must equal condition_dim");
-  const tensor::NoGradGuard no_grad;
-  std::vector<float> xin(onehot.begin(), onehot.end());
-  xin.insert(xin.end(), condition.begin(), condition.end());
-  const Tensor x = Tensor::from_data(
-      {1, input_dim() + options_.condition_dim}, std::move(xin));
-  const Tensor mu = mu_head_->forward(encoder_->forward(x));
-  return mu.data();
 }
 
 void Vae::save(std::ostream& os) const {

@@ -102,11 +102,6 @@ class Vae {
   void decode_probs_rows(std::span<const float> zc, std::int64_t rows,
                          float* out);
 
-  /// Posterior mean of the encoder for one one-hot configuration
-  /// (diagnostics; length latent).
-  [[nodiscard]] std::vector<float> encode_mean(
-      std::span<const float> onehot, std::span<const float> condition = {});
-
   /// Binary round-trip of all weights (options are caller-managed).
   void save(std::ostream& os) const;
   void load(std::istream& is);

@@ -226,11 +226,6 @@ Tensor Tensor::reshape(Shape new_shape) const {
   return Tensor(out);
 }
 
-Tensor Tensor::detach() const {
-  DT_CHECK(node_);
-  return from_data(node_->shape, node_->value, /*requires_grad=*/false);
-}
-
 // ---- op helpers ----
 
 namespace {
@@ -367,8 +362,6 @@ Tensor add_scalar(const Tensor& a, float s) {
       a, [s](float x) { return x + s; }, [](float, float) { return 1.0f; });
 }
 
-Tensor neg(const Tensor& a) { return scale(a, -1.0f); }
-
 Tensor exp(const Tensor& a) {
   return unary_op(
       a, [](float x) { return std::exp(x); },
@@ -385,18 +378,6 @@ Tensor tanh(const Tensor& a) {
   return unary_op(
       a, [](float x) { return std::tanh(x); },
       [](float, float y) { return 1.0f - y * y; });
-}
-
-Tensor sigmoid(const Tensor& a) {
-  return unary_op(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float y) { return y * (1.0f - y); });
-}
-
-Tensor relu(const Tensor& a) {
-  return unary_op(
-      a, [](float x) { return x > 0.0f ? x : 0.0f; },
-      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 
 Tensor square(const Tensor& a) {
@@ -488,47 +469,6 @@ Tensor sum(const Tensor& a) {
     for (std::size_t i = 0; i < p.grad.size(); ++i)
       p.grad[i] += self.grad[0];
   });
-  return Tensor(node);
-}
-
-Tensor mean(const Tensor& a) {
-  const float inv = 1.0f / static_cast<float>(a.numel());
-  return scale(sum(a), inv);
-}
-
-Tensor log_softmax(const Tensor& logits) {
-  DT_CHECK_MSG(logits.shape().size() == 2, "log_softmax expects 2-D logits");
-  const auto rows = static_cast<std::size_t>(logits.shape()[0]);
-  const auto cols = static_cast<std::size_t>(logits.shape()[1]);
-  const auto& lv = logits.node()->value;
-  std::vector<float> out(lv.size());
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = &lv[r * cols];
-    float hi = row[0];
-    for (std::size_t c = 1; c < cols; ++c) hi = std::max(hi, row[c]);
-    float z = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) z += std::exp(row[c] - hi);
-    const float log_z = hi + std::log(z);
-    for (std::size_t c = 0; c < cols; ++c)
-      out[r * cols + c] = row[c] - log_z;
-  }
-  auto node = make_op(
-      logits.shape(), std::move(out), {logits.node()},
-      [rows, cols](Node& self) {
-        Node& p = *self.parents[0];
-        p.ensure_grad();
-        // d logits = dY - softmax * sum(dY) per row.
-        for (std::size_t r = 0; r < rows; ++r) {
-          float gsum = 0.0f;
-          for (std::size_t c = 0; c < cols; ++c)
-            gsum += self.grad[r * cols + c];
-          for (std::size_t c = 0; c < cols; ++c) {
-            const float soft = std::exp(self.value[r * cols + c]);
-            p.grad[r * cols + c] +=
-                self.grad[r * cols + c] - soft * gsum;
-          }
-        }
-      });
   return Tensor(node);
 }
 

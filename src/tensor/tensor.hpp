@@ -1,10 +1,10 @@
 // Minimal dense-tensor library with tape-based reverse-mode autograd.
 //
 // This is the repo's substitution for libtorch (see DESIGN.md): just enough
-// machinery -- float32 tensors, broadcasting elementwise ops, matmul,
-// fused softmax/cross-entropy, Adam -- to train the VAE proposal network
-// and evaluate its exact per-site categorical densities inside the Monte
-// Carlo acceptance rule.
+// machinery -- float32 tensors, the elementwise ops, matmul, sum and
+// fused softmax/cross-entropy of the VAE loss, Adam -- to train the VAE
+// proposal network and evaluate its exact per-site categorical densities
+// inside the Monte Carlo acceptance rule.
 //
 // Semantics: a Tensor is a shared handle to a graph Node holding the value
 // buffer, the gradient buffer and the backward closure. Ops build the
@@ -105,9 +105,6 @@ class Tensor {
   /// Same storage, new shape (numel must match). Gradients flow through.
   [[nodiscard]] Tensor reshape(Shape new_shape) const;
 
-  /// Detached copy sharing no graph history (for feeding samples back in).
-  [[nodiscard]] Tensor detach() const;
-
   // Internal: used by ops.
   [[nodiscard]] const std::shared_ptr<detail::Node>& node() const {
     return node_;
@@ -127,12 +124,9 @@ Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, float s);
 Tensor add_scalar(const Tensor& a, float s);
-Tensor neg(const Tensor& a);
 Tensor exp(const Tensor& a);
 Tensor log(const Tensor& a);
 Tensor tanh(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
-Tensor relu(const Tensor& a);
 Tensor square(const Tensor& a);
 
 /// Column-wise concatenation of two 2-D tensors with equal row counts:
@@ -145,11 +139,8 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 
 // ---- reductions ----
 Tensor sum(const Tensor& a);
-Tensor mean(const Tensor& a);
 
 // ---- NN-specific fused ops ----
-/// log softmax over the last axis of a 2-D tensor.
-Tensor log_softmax(const Tensor& logits);
 /// Mean cross-entropy of 2-D logits (R, C) against integer labels (size R).
 /// Fused softmax backward (prob - onehot)/R.
 Tensor cross_entropy_with_logits(const Tensor& logits,

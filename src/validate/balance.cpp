@@ -72,7 +72,7 @@ BalanceReport check_detailed_balance(
   std::vector<double> energy(n_states, 0.0);
   for (std::size_t i = 0; i < n_states; ++i) {
     cfg.assign(states[i]);
-    energy[i] = hamiltonian.total_energy_serial(cfg);
+    energy[i] = hamiltonian.total_energy(cfg);
   }
 
   // Canonical target, normalised with an energy shift for stability.

@@ -123,9 +123,7 @@ ExactOracle ExactOracle::enumerate(const lattice::EpiHamiltonian& ham,
   double total = 0.0;
   do {
     cfg.assign(occ);
-    // Serial evaluation: bit-deterministic across thread counts, so the
-    // golden cache is byte-stable.
-    const double e = ham.total_energy_serial(cfg);
+    const double e = ham.total_energy(cfg);
     auto& slot = acc[std::llround(e / options.energy_quantum)];
     slot.count += 1.0;
     if (options.with_sro) slot.sro += lattice::sro_magnitude(cfg, 0);

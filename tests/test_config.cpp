@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/error.hpp"
 
 namespace dt {
@@ -56,6 +58,24 @@ TEST(Config, TypeErrorsThrow) {
   EXPECT_THROW((void)cfg.get_int("n", 0), Error);
   EXPECT_THROW((void)cfg.get_double("n", 0.0), Error);
   EXPECT_THROW((void)cfg.get_bool("n", false), Error);
+  // Out of range: no saturating to INT64_MAX / INT64_MIN, no inf or nan.
+  cfg.set("big", "99999999999999999999");
+  EXPECT_THROW((void)cfg.get_int("big", 0), Error);
+  cfg.set("big", "-99999999999999999999");
+  EXPECT_THROW((void)cfg.get_int("big", 0), Error);
+  cfg.set("huge", "1e999");
+  EXPECT_THROW((void)cfg.get_double("huge", 0.0), Error);
+  cfg.set("huge", "-1e999");
+  EXPECT_THROW((void)cfg.get_double("huge", 0.0), Error);
+  cfg.set("huge", "inf");
+  EXPECT_THROW((void)cfg.get_double("huge", 0.0), Error);
+  cfg.set("huge", "nan");
+  EXPECT_THROW((void)cfg.get_double("huge", 0.0), Error);
+  // The edges themselves still parse.
+  cfg.set("edge", "9223372036854775807");
+  EXPECT_EQ(cfg.get_int("edge", 0), INT64_MAX);
+  cfg.set("edge", "1.7976931348623157e308");
+  EXPECT_EQ(cfg.get_double("edge", 0.0), 1.7976931348623157e308);
 }
 
 TEST(Config, MalformedLineThrows) {

@@ -1,8 +1,9 @@
 // Oracle-tier detailed-balance acceptance tests: every registered
-// proposal kernel -- local swap, block swap, mixture, and the VAE
-// decode-ahead global move -- is measured against pi(x)P(x->x') ==
-// pi(x')P(x'->x) on a fully enumerated state space, plus an exact audit
-// of the VAE kernel's reverse-density bookkeeping via last_probs().
+// proposal kernel -- local swap, block swap, the DeepThermo local+VAE
+// mixture and the VAE decode-ahead global move -- is measured against
+// pi(x)P(x->x') == pi(x')P(x'->x) on a fully enumerated state space,
+// plus an exact audit of the VAE kernel's reverse-density bookkeeping
+// via last_probs().
 //
 // Seeds derive from DT_TEST_SEED (see validate/stats.hpp); failures
 // print the effective seed for reproduction.
@@ -15,7 +16,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/vae_proposal.hpp"
+#include "core/mixed_kernel.hpp"
 #include "nn/vae.hpp"
 #include "validate/stats.hpp"
 
@@ -66,45 +67,72 @@ TEST(DetailedBalance, BlockSwapKernel) {
   EXPECT_TRUE(report.pass) << report.summary();
 }
 
-TEST(DetailedBalance, MixtureKernel) {
-  BalanceFixture fx;
-  SCOPED_TRACE(seed_trace(fx.seed));
-  mc::LocalSwapProposal local(fx.ham);
-  mc::BlockSwapProposal block(fx.ham, 1, 2);
-  mc::MixtureProposal prop(local, block, 0.5);
-  mc::Rng rng(fx.seed, 103);
-  const auto report = check_detailed_balance(prop, fx.ham, fx.lat, fx.comp,
-                                             rng, fx.options());
-  EXPECT_TRUE(report.pass) << report.summary();
-}
-
-TEST(DetailedBalance, VaeDecodeAheadKernel) {
-  BalanceFixture fx;
-  SCOPED_TRACE(seed_trace(fx.seed));
+std::shared_ptr<nn::Vae> small_vae(const BalanceFixture& fx) {
   nn::VaeOptions vo;
   vo.n_sites = fx.lat.num_sites();
   vo.n_species = 2;
   vo.hidden = 24;
   vo.latent = 4;
-  auto vae = std::make_shared<nn::Vae>(vo, fx.seed + 7);
-  core::VaeProposal prop(fx.ham, vae);
+  return std::make_shared<nn::Vae>(vo, fx.seed + 7);
+}
 
-  // Exact reverse-density audit: recompute both constrained sequential
-  // densities from the decoder probabilities the kernel actually used
-  // and cross-check its log_q_ratio bookkeeping to float precision.
+/// Exact reverse-density audit of a VAE move: both constrained
+/// sequential densities recomputed from the decoder probabilities the
+/// kernel actually used; returns how far its log_q_ratio is off.
+double log_q_error(const core::VaeProposal& vae, const mc::ProposalResult& res,
+                   std::span<const std::uint8_t> before,
+                   std::span<const std::uint8_t> after) {
+  const auto probs = vae.last_probs();
+  EXPECT_FALSE(probs.empty());
+  const double lq_rev =
+      core::VaeProposal::sequential_log_density(probs, before, 2).value();
+  const double lq_fwd =
+      core::VaeProposal::sequential_log_density(probs, after, 2).value();
+  return std::abs(res.log_q_ratio.value() - (lq_rev - lq_fwd));
+}
+
+// The mixture that runs: core::DeepThermoProposal, local swaps and VAE
+// moves half and half, with the log q audit on every VAE move.
+TEST(DetailedBalance, MixtureKernel) {
+  BalanceFixture fx;
+  SCOPED_TRACE(seed_trace(fx.seed));
+  core::DeepThermoProposal prop(fx.ham, small_vae(fx), 0.5);
   std::uint64_t audited = 0;
   double worst = 0.0;
   const ProposalAudit audit = [&](const mc::ProposalResult& res,
                                   std::span<const std::uint8_t> before,
                                   std::span<const std::uint8_t> after) {
-    const auto probs = prop.last_probs();
-    ASSERT_FALSE(probs.empty());
-    const double lq_rev =
-        core::VaeProposal::sequential_log_density(probs, before, 2).value();
-    const double lq_fwd =
-        core::VaeProposal::sequential_log_density(probs, after, 2).value();
-    worst = std::max(
-        worst, std::abs(res.log_q_ratio.value() - (lq_rev - lq_fwd)));
+    // Every proposal here is valid and audited, so the VAE count is
+    // ahead of `audited` exactly when the last move was a VAE move.
+    if (prop.vae_stats().proposed == audited) return;
+    worst = std::max(worst, log_q_error(prop.vae_kernel(), res, before, after));
+    ++audited;
+  };
+
+  auto opts = fx.options();
+  opts.proposals_per_state = 1500;  // as for the pure VAE kernel below
+  mc::Rng rng(fx.seed, 103);
+  const auto report = check_detailed_balance(prop, fx.ham, fx.lat, fx.comp,
+                                             rng, opts, audit);
+  EXPECT_TRUE(report.pass) << report.summary();
+  EXPECT_EQ(report.n_invalid, 0u);
+  EXPECT_GT(audited, 0u);
+  EXPECT_EQ(audited, prop.vae_stats().proposed);
+  EXPECT_LT(worst, 1e-5) << "log_q_ratio bookkeeping drifted";
+  EXPECT_EQ(prop.vae_stats().proposed + prop.local_stats().proposed,
+            report.n_proposals);
+}
+
+TEST(DetailedBalance, VaeDecodeAheadKernel) {
+  BalanceFixture fx;
+  SCOPED_TRACE(seed_trace(fx.seed));
+  core::VaeProposal prop(fx.ham, small_vae(fx));
+  std::uint64_t audited = 0;
+  double worst = 0.0;
+  const ProposalAudit audit = [&](const mc::ProposalResult& res,
+                                  std::span<const std::uint8_t> before,
+                                  std::span<const std::uint8_t> after) {
+    worst = std::max(worst, log_q_error(prop, res, before, after));
     ++audited;
   };
 

@@ -73,17 +73,6 @@ TEST(EpiHamiltonian, IsingB2IsAntiferroGroundState) {
               -static_cast<double>(ham.bond_count(lat)), 1e-9);
 }
 
-TEST(EpiHamiltonian, SiteEnergySumsToTwiceTotal) {
-  const auto lat = Lattice::create(LatticeType::kBCC, 3, 3, 3, 2);
-  const auto ham = random_epi(4, 2, 0.1, 11);
-  Xoshiro256ss rng(5);
-  const auto cfg = random_configuration(lat, 4, rng);
-  double site_sum = 0;
-  for (std::int32_t i = 0; i < lat.num_sites(); ++i)
-    site_sum += ham.site_energy(cfg, i);
-  EXPECT_NEAR(site_sum, 2.0 * ham.total_energy(cfg), 1e-8);
-}
-
 TEST(EpiHamiltonian, SwapDeltaMatchesRecompute) {
   const auto lat = Lattice::create(LatticeType::kBCC, 3, 3, 3, 2);
   const auto ham = random_epi(4, 2, 0.1, 7);
@@ -137,23 +126,6 @@ TEST(EpiHamiltonian, SwapDeltaTrivialCases) {
   EXPECT_DOUBLE_EQ(ham.swap_delta(cfg, a, b), 0.0);
 }
 
-TEST(EpiHamiltonian, SetDeltaMatchesRecompute) {
-  const auto lat = Lattice::create(LatticeType::kBCC, 3, 3, 3, 2);
-  const auto ham = random_epi(4, 2, 0.15, 13);
-  Xoshiro256ss rng(12);
-  auto cfg = random_configuration(lat, 4, rng);
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto site = static_cast<std::int32_t>(
-        uniform_index(rng, static_cast<std::uint64_t>(lat.num_sites())));
-    const auto species =
-        static_cast<Species>(uniform_index(rng, 4));
-    const double e0 = ham.total_energy(cfg);
-    const double delta = ham.set_delta(cfg, site, species);
-    cfg.set(site, species);
-    ASSERT_NEAR(ham.total_energy(cfg), e0 + delta, 1e-8);
-  }
-}
-
 TEST(EpiHamiltonian, SwapDeltaExactOnWrappingSupercell) {
   // Regression: on a 2x2x2 BCC supercell the second shell's +x and -x
   // offsets wrap onto the same site, giving neighbour multiplicity 2.
@@ -186,21 +158,6 @@ TEST(EpiHamiltonian, EnergyBoundsHold) {
     const double e = ham.total_energy(cfg);
     EXPECT_GE(e, bonds * ham.min_coupling() - 1e-9);
     EXPECT_LE(e, bonds * ham.max_coupling() + 1e-9);
-  }
-}
-
-TEST(EpiHamiltonian, ParallelEnergyMatchesSerial) {
-  // Both paths add integer pair counts, so they agree bit for bit:
-  // results cannot depend on which side of the total_energy size
-  // threshold a lattice lands.
-  for (const int cells : {3, 4, 8, 12}) {
-    const auto lat = Lattice::create(LatticeType::kBCC, cells, cells, cells, 2);
-    const auto ham = random_epi(4, 2, 0.2, 77);
-    Xoshiro256ss rng(static_cast<std::uint64_t>(cells));
-    const auto cfg = random_configuration(lat, 4, rng);
-    const double serial = ham.total_energy_serial(cfg);
-    EXPECT_EQ(ham.total_energy_parallel(cfg), serial) << "cells=" << cells;
-    EXPECT_EQ(ham.total_energy(cfg), serial) << "cells=" << cells;
   }
 }
 
@@ -239,11 +196,10 @@ TEST(EpiHamiltonian, PairCountEnergyMatchesKahanSiteSum) {
           for (int trial = 0; trial < 3; ++trial) {
             const auto cfg = random_configuration(lat, n_species, rng);
             const double want = kahan_site_sum(ham, cfg);
-            const double got = ham.total_energy_serial(cfg);
+            const double got = ham.total_energy(cfg);
             EXPECT_NEAR(got, want, 1e-12 * std::max(1.0, std::abs(want)))
                 << to_string(type) << " S=" << n_species
                 << " shells=" << n_shells << " cells=" << cells;
-            EXPECT_EQ(ham.total_energy_parallel(cfg), got);
           }
         }
       }
@@ -281,8 +237,7 @@ TEST(EpiHamiltonian, PairCountEnergyExactPastLaneCapacity) {
       const double want =
           ham.coupling(0, a, a) * static_cast<double>(bonds0) +
           ham.coupling(1, a, a) * static_cast<double>(bonds1);
-      EXPECT_EQ(ham.total_energy_serial(cfg), want) << "species " << sp;
-      EXPECT_EQ(ham.total_energy_parallel(cfg), want) << "species " << sp;
+      EXPECT_EQ(ham.total_energy(cfg), want) << "species " << sp;
     }
   }
 }
@@ -357,75 +312,6 @@ INSTANTIATE_TEST_SUITE_P(
                       Combo{LatticeType::kBCC, 2}, Combo{LatticeType::kBCC, 4},
                       Combo{LatticeType::kFCC, 3},
                       Combo{LatticeType::kFCC, 4}));
-
-TEST(EpiHamiltonian, AssignDeltaMatchesRecomputeSparse) {
-  // Few changed sites: the regime the sparse walk is built for.
-  const auto lat = Lattice::create(LatticeType::kBCC, 3, 3, 3, 2);
-  const auto ham = random_epi(4, 2, 0.2, 55);
-  Xoshiro256ss rng(77);
-  auto cfg = random_configuration(lat, 4, rng);
-  const auto n = static_cast<std::size_t>(lat.num_sites());
-  DeltaWorkspace ws;
-  for (int trial = 0; trial < 30; ++trial) {
-    // Candidate = configuration with a handful of random swaps applied
-    // (swaps keep the composition, like the VAE kernel's candidates).
-    std::vector<Species> candidate(cfg.occupancy().begin(),
-                                   cfg.occupancy().end());
-    const int swaps = 1 + trial % 5;
-    for (int sw = 0; sw < swaps; ++sw) {
-      const auto a = static_cast<std::size_t>(uniform_index(rng, n));
-      const auto b = static_cast<std::size_t>(uniform_index(rng, n));
-      std::swap(candidate[a], candidate[b]);
-    }
-    std::size_t want_changed = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (candidate[i] != cfg.at(static_cast<std::int32_t>(i)))
-        ++want_changed;
-
-    const double before = ham.total_energy(cfg);
-    const auto d = ham.assign_delta(cfg, candidate, ws);
-    EXPECT_EQ(static_cast<std::size_t>(d.n_changed), want_changed);
-
-    cfg.assign(candidate);
-    const double after = ham.total_energy(cfg);
-    ASSERT_NEAR(d.delta_energy, after - before,
-                1e-9 * std::max(1.0, std::abs(after)));
-  }
-}
-
-TEST(EpiHamiltonian, AssignDeltaExactWhenMostSitesChange) {
-  // Dense-change candidates (independent random configurations): every
-  // bond class -- changed-changed, changed-unchanged -- is exercised,
-  // including periodic self-images on the small supercell.
-  const auto lat = Lattice::create(LatticeType::kSimpleCubic, 2, 2, 2, 2);
-  const auto ham = random_epi(3, 2, 0.4, 91);
-  Xoshiro256ss rng(5);
-  auto cfg = random_configuration(lat, 3, rng);
-  DeltaWorkspace ws;
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto other = random_configuration(lat, 3, rng);
-    std::vector<Species> candidate(other.occupancy().begin(),
-                                   other.occupancy().end());
-    const double before = ham.total_energy(cfg);
-    const auto d = ham.assign_delta(cfg, candidate, ws);
-    cfg.assign(candidate);
-    ASSERT_NEAR(d.delta_energy, ham.total_energy(cfg) - before,
-                1e-9 * std::max(1.0, std::abs(before)));
-  }
-}
-
-TEST(EpiHamiltonian, AssignDeltaIdenticalCandidateIsZero) {
-  const auto lat = Lattice::create(LatticeType::kBCC, 2, 2, 2, 2);
-  const auto ham = epi_nbmotaw();
-  Xoshiro256ss rng(3);
-  const auto cfg = random_configuration(lat, 4, rng);
-  std::vector<Species> candidate(cfg.occupancy().begin(),
-                                 cfg.occupancy().end());
-  DeltaWorkspace ws;
-  const auto d = ham.assign_delta(cfg, candidate, ws);
-  EXPECT_EQ(d.n_changed, 0);
-  EXPECT_EQ(d.delta_energy, 0.0);
-}
 
 }  // namespace
 }  // namespace dt::lattice

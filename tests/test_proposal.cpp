@@ -140,44 +140,6 @@ TEST(BlockSwap, DeltaEnergyIsExact) {
   }
 }
 
-TEST(Mixture, DispatchFractionRespected) {
-  const auto lat = bcc3();
-  const auto ham = lattice::epi_ising(1.0);
-  Rng rng(8, 0);
-  auto cfg = lattice::random_configuration(lat, 2, rng);
-  LocalSwapProposal local(ham);
-  BlockSwapProposal global(ham, 1, 3);
-  MixtureProposal mix(local, global, 0.25);
-
-  int global_count = 0;
-  const int n = 4000;
-  for (int i = 0; i < n; ++i) {
-    (void)mix.propose(cfg, units::Energy(0.0), rng);
-    if (mix.last_was_global()) ++global_count;
-    mix.revert(cfg);
-  }
-  EXPECT_NEAR(global_count / static_cast<double>(n), 0.25, 0.03);
-}
-
-TEST(Mixture, RevertRoutesToCorrectComponent) {
-  const auto lat = bcc3();
-  const auto ham = lattice::epi_ising(1.0);
-  Rng rng(9, 0);
-  auto cfg = lattice::random_configuration(lat, 2, rng);
-  const std::vector<std::uint8_t> snapshot(cfg.occupancy().begin(),
-                                           cfg.occupancy().end());
-  LocalSwapProposal local(ham);
-  BlockSwapProposal global(ham, 2, 5);
-  MixtureProposal mix(local, global, 0.5);
-  for (int i = 0; i < 300; ++i) {
-    (void)mix.propose(cfg, units::Energy(0.0), rng);
-    mix.revert(cfg);
-    const std::vector<std::uint8_t> now(cfg.occupancy().begin(),
-                                        cfg.occupancy().end());
-    ASSERT_EQ(now, snapshot) << "iteration " << i;
-  }
-}
-
 // The decisive correctness test for any kernel: Metropolis sampling with
 // it must reproduce the exact Boltzmann distribution on an enumerable
 // system (2x2x2 BCC Ising, 16 sites, C(16,8)=12870 states).
@@ -200,8 +162,7 @@ TEST_P(KernelBoltzmann, EmpiricalEnergyDistributionMatchesExact) {
 
   LocalSwapProposal local(ham);
   BlockSwapProposal block(ham, 2, 4);
-  MixtureProposal mix(local, block, 0.3);
-  Proposal* kernels[] = {&local, &block, &mix};
+  Proposal* kernels[] = {&local, &block};
   Proposal& kernel = *kernels[GetParam()];
 
   std::map<long long, double> counts;
@@ -221,18 +182,11 @@ TEST_P(KernelBoltzmann, EmpiricalEnergyDistributionMatchesExact) {
 }
 
 std::string kernel_name(const ::testing::TestParamInfo<int>& info) {
-  switch (info.param) {
-    case 0:
-      return "LocalSwap";
-    case 1:
-      return "BlockSwap";
-    default:
-      return "Mixture";
-  }
+  return info.param == 0 ? "LocalSwap" : "BlockSwap";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, KernelBoltzmann,
-                         ::testing::Values(0, 1, 2), kernel_name);
+                         ::testing::Values(0, 1), kernel_name);
 
 }  // namespace
 }  // namespace dt::mc

