@@ -117,7 +117,7 @@ T get_int_as(const dt::Config& cfg, const std::string& key, T fallback) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dt;
 
   Config cli;
@@ -185,6 +185,10 @@ int main(int argc, char** argv) {
   const double t_lo = cfg.get_double("t_lo", 0.005);
   const double t_hi = cfg.get_double("t_hi", 0.4);
   const auto n_t = get_int_as<std::size_t>(cfg, "t_points", 40);
+  DT_CHECK_MSG(t_lo > 0.0 && t_hi > 0.0,
+               "config keys 't_lo' and 't_hi' must be > 0, got "
+                   << t_lo << " and " << t_hi);
+  DT_CHECK_MSG(n_t >= 1, "config key 't_points' must be >= 1, got " << n_t);
   const std::string dos_out = cfg.get_string("dos_out", "");
   const std::string scan_out = cfg.get_string("scan_out", "");
   cfg.require_all_read();
@@ -259,4 +263,9 @@ int main(int argc, char** argv) {
     std::printf("telemetry -> %s\n", telemetry_path.c_str());
   }
   return result.rewl.converged ? 0 : 2;
+} catch (const dt::Error& e) {
+  // Rejected input (or a failed check) exits 1 with its message, so a
+  // script can tell it from a crash.
+  std::fprintf(stderr, "deepthermo_cli: %s\n", e.what());
+  return 1;
 }

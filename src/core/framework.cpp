@@ -26,6 +26,17 @@ namespace {
 
 constexpr std::uint64_t kFrameworkMagic = 0x44'54'46'52'41'4D'45'31ULL;
 
+// Energy range bracketing.
+constexpr std::int64_t kQuenchSweeps = 40;  ///< quench effort per edge
+constexpr double kRangePad = 0.01;          ///< padding of the quenched range
+/// kThermal: upper edge = <E>_rand + kRangeSigma * std(E)_rand.
+constexpr double kRangeSigma = 5.0;
+
+// Pretraining ladder, high T -> low T, in energy units.
+constexpr double kPretrainTHi = 0.25;  ///< ladder start (disordered)
+constexpr double kPretrainTLo = 0.02;  ///< ladder end (ordered)
+constexpr std::int64_t kSweepsBetweenSamples = 2;
+
 /// Binary (bit-exact) DOS serialisation for checkpoints; the text
 /// DensityOfStates::save is for human consumption and does not round-trip
 /// doubles exactly.
@@ -98,13 +109,20 @@ mc::EnergyGrid build_grid(const lattice::EpiHamiltonian& hamiltonian,
   DT_CHECK_MSG(options.rewl.walkers_per_window >= 1,
                "walkers_per_window must be >= 1, got "
                    << options.rewl.walkers_per_window);
+  DT_CHECK_MSG(options.rewl.exchange_interval >= 1,
+               "exchange_interval must be >= 1, got "
+                   << options.rewl.exchange_interval);
+  DT_CHECK_MSG(options.rewl.wl.log_f_final > 0.0 &&
+                   options.rewl.wl.log_f_final < 1.0,
+               "log_f_final must be in (0, 1), got "
+                   << options.rewl.wl.log_f_final);
   (void)par::make_windows(options.n_bins, options.rewl.n_windows,
                           options.rewl.overlap);
   mc::Rng rng(options.seed, stream_id(0xE0, 0));
   lattice::Configuration cfg =
       lattice::random_configuration(lat, options.n_species, rng);
   const auto [e_lo, e_hi] = mc::estimate_energy_range(
-      hamiltonian, cfg, options.quench_sweeps, options.range_pad,
+      hamiltonian, cfg, kQuenchSweeps, kRangePad,
       mc::Rng(options.seed, stream_id(0xE0, 1)));
   if (options.range_mode == EnergyRangeMode::kFullSpectrum)
     return mc::EnergyGrid(e_lo, e_hi, options.n_bins);
@@ -118,7 +136,7 @@ mc::EnergyGrid build_grid(const lattice::EpiHamiltonian& hamiltonian,
         lattice::random_configuration(lat, options.n_species, sample_rng);
     stats.add(hamiltonian.total_energy(sample));
   }
-  const double thermal_hi = stats.mean() + options.range_sigma * stats.stddev();
+  const double thermal_hi = stats.mean() + kRangeSigma * stats.stddev();
   DT_CHECK_MSG(thermal_hi > e_lo, "degenerate thermal energy range");
   return mc::EnergyGrid(e_lo, std::min(e_hi, thermal_hi), options.n_bins);
 }
@@ -142,9 +160,12 @@ Framework::Framework(DeepThermoOptions options,
 }
 
 Framework Framework::nbmotaw(DeepThermoOptions options) {
-  options.n_species = 4;
-  if (options.lattice.type != lattice::LatticeType::kBCC)
-    options.lattice.type = lattice::LatticeType::kBCC;
+  DT_CHECK_MSG(options.n_species == 4,
+               "NbMoTaW has 4 species, but n_species is "
+                   << options.n_species);
+  DT_CHECK_MSG(options.lattice.type == lattice::LatticeType::kBCC,
+               "NbMoTaW is BCC, but the lattice is "
+                   << lattice::to_string(options.lattice.type));
   return Framework(std::move(options), lattice::epi_nbmotaw());
 }
 
@@ -170,8 +191,6 @@ nn::VaeOptions Framework::make_vae_options() const {
   vo.n_species = options_.n_species;
   vo.hidden = options_.vae.hidden;
   vo.latent = options_.vae.latent;
-  vo.kl_weight = options_.vae.kl_weight;
-  vo.prob_floor = options_.vae.prob_floor;
   vo.condition_dim = options_.condition_on_energy ? 1 : 0;
   return vo;
 }
@@ -195,7 +214,6 @@ nn::TrainReport Framework::pretrain_impl(ckpt::CheckpointStore* store,
   obs::HealthRegistry::global().set_phase("pretrain");
   const PretrainOptions& po = options_.pretrain;
   DT_CHECK(po.n_temperatures >= 1);
-  DT_CHECK(po.t_hi >= po.t_lo && po.t_lo > 0.0);
 
   const std::int32_t cond_dim = options_.condition_on_energy ? 1 : 0;
   vae_ = std::make_shared<nn::Vae>(make_vae_options(), options_.seed);
@@ -232,7 +250,7 @@ nn::TrainReport Framework::pretrain_impl(ckpt::CheckpointStore* store,
     lattice::Configuration cfg =
         lattice::random_configuration(lattice_, options_.n_species, init_rng);
     mc::MetropolisSampler sampler(hamiltonian_, cfg,
-                                  units::Temperature(po.t_hi),
+                                  units::Temperature(kPretrainTHi),
                                   mc::Rng(options_.seed, stream_id(0xAA, 1)));
     mc::LocalSwapProposal kernel(hamiltonian_);
 
@@ -243,11 +261,12 @@ nn::TrainReport Framework::pretrain_impl(ckpt::CheckpointStore* store,
               ? 0.0
               : static_cast<double>(t_idx) /
                     static_cast<double>(po.n_temperatures - 1);
-      const double t = po.t_hi * std::pow(po.t_lo / po.t_hi, frac);
+      const double t =
+          kPretrainTHi * std::pow(kPretrainTLo / kPretrainTHi, frac);
       sampler.set_temperature(units::Temperature(t));
       sampler.run(kernel, po.equilibration_sweeps);
       for (int k = 0; k < po.samples_per_temperature; ++k) {
-        sampler.run(kernel, po.sweeps_between_samples);
+        sampler.run(kernel, kSweepsBetweenSamples);
         if (cond_dim > 0) {
           const float c = static_cast<float>(
               normalized_energy(sampler.energy()));

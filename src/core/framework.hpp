@@ -41,20 +41,17 @@ struct LatticeSpec {
   int n_shells = 2;
 };
 
+/// Training data: canonical samples along a geometric temperature
+/// ladder from disordered to ordered (see framework.cpp for its ends).
 struct PretrainOptions {
-  double t_hi = 0.25;   ///< ladder start (disordered), energy units
-  double t_lo = 0.02;   ///< ladder end (ordered)
   int n_temperatures = 6;
   std::int64_t equilibration_sweeps = 40;
-  std::int64_t sweeps_between_samples = 2;
   int samples_per_temperature = 48;
 };
 
 struct VaeTrainOptions {
   std::int64_t hidden = 96;
   std::int64_t latent = 12;
-  float kl_weight = 1.0f;
-  float prob_floor = 1e-3f;
   int epochs = 30;
   int batch_size = 32;
   float learning_rate = 1e-3f;
@@ -78,10 +75,6 @@ struct DeepThermoOptions {
   int n_species = 4;
   std::int32_t n_bins = 240;
   EnergyRangeMode range_mode = EnergyRangeMode::kThermal;
-  double range_pad = 0.01;          ///< padding of the quenched range
-  /// kThermal: upper edge = <E>_rand + range_sigma * std(E)_rand.
-  double range_sigma = 5.0;
-  std::int64_t quench_sweeps = 40;  ///< range-bracketing effort
   PretrainOptions pretrain;
   VaeTrainOptions vae;
   par::RewlOptions rewl;
@@ -176,7 +169,8 @@ class Framework {
   /// not exceed the lattice spec's.
   Framework(DeepThermoOptions options, lattice::EpiHamiltonian hamiltonian);
 
-  /// Convenience: the paper's quaternary NbMoTaW system.
+  /// Convenience: the paper's quaternary NbMoTaW system. Rejects options
+  /// with n_species != 4 or a non-BCC lattice.
   static Framework nbmotaw(DeepThermoOptions options);
 
   [[nodiscard]] const DeepThermoOptions& options() const { return options_; }

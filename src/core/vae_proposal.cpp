@@ -110,30 +110,6 @@ units::LogWeight VaeProposal::sequential_log_density_scratch(
   // before it can underflow. Exact same quantity, far fewer libm calls.
   double log_q = 0.0;
   double run = 1.0;
-  if (s == 4) {
-    // Quaternary fast path: the norm reduction unrolled so it compiles
-    // to straight-line FMA code (s is a runtime value in the generic
-    // loop, which blocks unrolling).
-    double* rem = remaining.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* block = &probs[i * 4];
-      const double norm = static_cast<double>(block[0]) * rem[0] +
-                          static_cast<double>(block[1]) * rem[1] +
-                          static_cast<double>(block[2]) * rem[2] +
-                          static_cast<double>(block[3]) * rem[3];
-      const auto chosen = static_cast<std::size_t>(occupancy[i]);
-      const double w = static_cast<double>(block[chosen]) * rem[chosen];
-      DT_CHECK_MSG(w > 0.0 && norm > 0.0,
-                   "sequential density: zero weight at site " << i);
-      run *= w / norm;
-      if (run < 1e-270) {
-        log_q += std::log(run);
-        run = 1.0;
-      }
-      rem[chosen] -= 1.0;
-    }
-    return units::LogWeight(log_q + std::log(run));
-  }
   for (std::size_t i = 0; i < n; ++i) {
     const float* block = &probs[i * s];
     double norm = 0.0;

@@ -10,7 +10,7 @@
 //
 // is an unbiased refinement. Production runs also provide the correlated
 // time series for observable averages with proper error bars
-// (mc/observables.hpp).
+// (validate/stats.hpp: blocked_error, jackknife).
 #pragma once
 
 #include <cstdint>

@@ -10,10 +10,14 @@
 
 namespace dt::mc {
 
+namespace {
+constexpr int kMaxIterations = 2000;
+constexpr double kTolerance = 1e-8;
+}  // namespace
+
 WhamResult wham(const EnergyGrid& grid,
                 const std::vector<Histogram>& histograms,
-                const std::vector<double>& temperatures,
-                const WhamOptions& options) {
+                const std::vector<double>& temperatures) {
   const std::size_t n_temps = temperatures.size();
   DT_CHECK_MSG(n_temps >= 1, "wham: no histograms");
   DT_CHECK_MSG(histograms.size() == n_temps,
@@ -48,7 +52,7 @@ WhamResult wham(const EnergyGrid& grid,
   WhamResult result;
   std::vector<double> terms(n_temps);
   std::vector<double> lse_buf;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     // ln g(E) given f.
     for (std::size_t b = 0; b < n_bins; ++b) {
       if (log_counts[b] == kNegInf) continue;
@@ -76,7 +80,7 @@ WhamResult wham(const EnergyGrid& grid,
     for (auto& lg : log_g)
       if (lg != kNegInf) lg += gauge;
     result.iterations = iter + 1;
-    if (max_delta < options.tolerance) {
+    if (max_delta < kTolerance) {
       result.converged = true;
       break;
     }

@@ -20,12 +20,6 @@
 
 namespace dt::mc {
 
-struct WhamOptions {
-  int max_iterations = 2000;
-  /// Converged when the largest |f_k| change in one sweep is below this.
-  double tolerance = 1e-8;
-};
-
 struct WhamResult {
   DensityOfStates dos;          ///< unnormalised ln g over visited bins
   std::vector<double> log_z;    ///< per-temperature ln Z (self-consistent)
@@ -35,9 +29,10 @@ struct WhamResult {
 
 /// `histograms[k]` holds the visit counts of temperature `temperatures[k]`
 /// on the shared grid. Bins with zero total count are left unvisited.
+/// Stops at self-consistency or at an iteration cap; `converged` says
+/// which.
 WhamResult wham(const EnergyGrid& grid,
                 const std::vector<Histogram>& histograms,
-                const std::vector<double>& temperatures,
-                const WhamOptions& options = {});
+                const std::vector<double>& temperatures);
 
 }  // namespace dt::mc

@@ -12,6 +12,22 @@
 
 namespace dt::mc {
 
+namespace {
+/// Initial modification factor ln f.
+constexpr double kLogFInitial = 1.0;
+/// Fraction of ever-visited bins that must be revisited in the current
+/// ln f stage before flatness can pass (tolerates a few corner bins
+/// reachable only through measure-zero states).
+constexpr double kStageCoverage = 0.9;
+/// Sweeps between flatness checks.
+constexpr std::int64_t kCheckInterval = 100;
+/// A window is declared converged when only one bin has ever been
+/// reached and no new bin appears for this many sweeps (single-level
+/// windows occur with sparse spectra and cannot satisfy any flatness
+/// test).
+constexpr std::int64_t kDegenerateWindowSweeps = 2000;
+}  // namespace
+
 WangLandauSampler::WangLandauSampler(const lattice::EpiHamiltonian& hamiltonian,
                                      lattice::Configuration& cfg,
                                      const EnergyGrid& grid,
@@ -22,14 +38,15 @@ WangLandauSampler::WangLandauSampler(const lattice::EpiHamiltonian& hamiltonian,
       dos_(grid),
       histogram_(grid),
       rng_(rng),
-      log_f_(options.log_f_initial),
+      log_f_(kLogFInitial),
       energy_(units::Energy(hamiltonian.total_energy(cfg))) {
   if (options_.window_lo_bin < 0) options_.window_lo_bin = 0;
   if (options_.window_hi_bin < 0) options_.window_hi_bin = grid.n_bins() - 1;
   DT_CHECK(options_.window_lo_bin <= options_.window_hi_bin);
   DT_CHECK(options_.window_hi_bin < grid.n_bins());
-  DT_CHECK_MSG(options_.log_f_initial > options_.log_f_final,
-               "log_f_initial must exceed log_f_final");
+  DT_CHECK_MSG(options_.log_f_final > 0.0 &&
+                   options_.log_f_final < kLogFInitial,
+               "log_f_final must be in (0, 1), got " << options_.log_f_final);
   current_bin_ = grid.bin(energy_);
 }
 
@@ -112,7 +129,7 @@ void WangLandauSampler::sweep(Proposal& proposal) {
 bool WangLandauSampler::stage_flat() const {
   // Flatness is evaluated over the bins visited in the CURRENT stage,
   // with a coverage requirement against the ever-visited set: at least
-  // `coverage` of all bins the walker has ever reached must have been
+  // kStageCoverage of all bins the walker has ever reached must have been
   // revisited this stage. Pure current-stage flatness lets stages pass
   // while most of the window is unexplored (late-found bins then carry
   // pathological ln g deficits); demanding *every* ever-visited bin
@@ -134,7 +151,7 @@ bool WangLandauSampler::stage_flat() const {
   }
   if (covered < 2) return false;
   if (static_cast<double>(covered) <
-      options_.stage_coverage * static_cast<double>(ever))
+      kStageCoverage * static_cast<double>(ever))
     return false;
   const double mean = static_cast<double>(sum) / static_cast<double>(covered);
   return static_cast<double>(min_count) >= options_.flatness * mean;
@@ -157,7 +174,7 @@ bool WangLandauSampler::advance(
     // rest of the REWL ensemble is not held hostage.
     if (ever_visited_in_window_ <= 1 &&
         stats_.sweeps - sweeps_at_last_discovery_ >
-            options_.degenerate_window_sweeps) {
+            kDegenerateWindowSweeps) {
       log_f_ = options_.log_f_final * 0.5;
       return true;
     }
@@ -170,7 +187,7 @@ bool WangLandauSampler::advance(
       continue;
     }
 
-    if (stats_.sweeps % options_.check_interval != 0) continue;
+    if (stats_.sweeps % kCheckInterval != 0) continue;
     if (!stage_flat()) continue;
 
     const double finished_f = log_f_;

@@ -26,18 +26,9 @@ namespace dt::mc {
 
 struct WangLandauOptions {
   double flatness = 0.8;        ///< histogram flatness threshold
-  /// Fraction of ever-visited bins that must be revisited in the current
-  /// ln f stage before flatness can pass (tolerates a few corner bins
-  /// reachable only through measure-zero states).
-  double stage_coverage = 0.9;
-  double log_f_initial = 1.0;   ///< initial modification factor (ln f)
-  double log_f_final = 1e-6;    ///< convergence threshold on ln f
+  /// Convergence threshold on ln f, in (0, 1): ln f starts at 1.
+  double log_f_final = 1e-6;
   bool one_over_t = true;       ///< switch to ln f = N_bins/t when smaller
-  std::int64_t check_interval = 100;  ///< sweeps between flatness checks
-  /// Declare a window converged when only one bin has ever been reached
-  /// and no new bin appears for this many sweeps (single-level windows
-  /// occur with sparse spectra and cannot satisfy any flatness test).
-  std::int64_t degenerate_window_sweeps = 2000;
   std::int32_t window_lo_bin = -1;    ///< -1: full grid
   std::int32_t window_hi_bin = -1;    ///< -1: full grid
 };

@@ -42,25 +42,4 @@ Tensor Linear::forward(const Tensor& x) {
 
 std::vector<Tensor> Linear::parameters() const { return {weight_, bias_}; }
 
-Sequential& Sequential::add(std::unique_ptr<Module> module) {
-  DT_CHECK(module != nullptr);
-  modules_.push_back(std::move(module));
-  return *this;
-}
-
-Tensor Sequential::forward(const Tensor& x) {
-  Tensor h = x;
-  for (auto& m : modules_) h = m->forward(h);
-  return h;
-}
-
-std::vector<Tensor> Sequential::parameters() const {
-  std::vector<Tensor> out;
-  for (const auto& m : modules_) {
-    auto p = m->parameters();
-    out.insert(out.end(), p.begin(), p.end());
-  }
-  return out;
-}
-
 }  // namespace dt::nn

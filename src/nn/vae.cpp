@@ -48,40 +48,38 @@ inline float vec_expf(float x) {
 
 using tensor::Tensor;
 
-Vae::Vae(VaeOptions options, std::uint64_t seed) : options_(options) {
-  DT_CHECK(options_.n_sites > 0);
-  DT_CHECK(options_.n_species >= 2);
-  DT_CHECK(options_.hidden > 0 && options_.latent > 0);
-  DT_CHECK(options_.prob_floor >= 0.0f && options_.prob_floor < 1.0f);
+namespace {
 
-  DT_CHECK(options_.condition_dim >= 0);
-
-  Xoshiro256ss rng(seed);
-  const std::int64_t cond = options_.condition_dim;
-  auto enc = std::make_unique<Sequential>();
-  enc->add(std::make_unique<Linear>(input_dim() + cond, options_.hidden, rng));
-  enc->add(std::make_unique<Tanh>());
-  encoder_ = std::move(enc);
-  mu_head_ = std::make_unique<Linear>(options_.hidden, options_.latent, rng);
-  logvar_head_ =
-      std::make_unique<Linear>(options_.hidden, options_.latent, rng);
-
-  auto dec = std::make_unique<Sequential>();
-  dec->add(
-      std::make_unique<Linear>(options_.latent + cond, options_.hidden, rng));
-  dec->add(std::make_unique<Tanh>());
-  dec->add(std::make_unique<Linear>(options_.hidden, input_dim(), rng));
-  decoder_ = std::move(dec);
+const VaeOptions& checked(const VaeOptions& options) {
+  DT_CHECK(options.n_sites > 0);
+  DT_CHECK(options.n_species >= 2);
+  DT_CHECK(options.hidden > 0 && options.latent > 0);
+  DT_CHECK(options.prob_floor >= 0.0f && options.prob_floor < 1.0f);
+  DT_CHECK(options.condition_dim >= 0);
+  return options;
 }
 
+}  // namespace
+
+Vae::Vae(VaeOptions options, std::uint64_t seed)
+    : Vae(checked(options), Xoshiro256ss(seed)) {}
+
+Vae::Vae(VaeOptions options, Xoshiro256ss rng)
+    : options_(options),
+      encoder_(input_dim() + options.condition_dim, options.hidden, rng),
+      mu_head_(options.hidden, options.latent, rng),
+      logvar_head_(options.hidden, options.latent, rng),
+      decoder_hidden_(options.latent + options.condition_dim, options.hidden,
+                      rng),
+      decoder_out_(options.hidden, input_dim(), rng) {}
+
 std::vector<Tensor> Vae::parameters() const {
-  std::vector<Tensor> out = encoder_->parameters();
-  auto append = [&out](std::vector<Tensor> more) {
-    out.insert(out.end(), more.begin(), more.end());
-  };
-  append(mu_head_->parameters());
-  append(logvar_head_->parameters());
-  append(decoder_->parameters());
+  std::vector<Tensor> out;
+  for (const Linear* layer : {&encoder_, &mu_head_, &logvar_head_,
+                              &decoder_hidden_, &decoder_out_}) {
+    const auto p = layer->parameters();
+    out.insert(out.end(), p.begin(), p.end());
+  }
   return out;
 }
 
@@ -128,9 +126,9 @@ VaeLossParts Vae::loss(const Tensor& batch_onehot,
     enc_in = tensor::concat_cols(batch_onehot, cond_tensor);
   }
 
-  const Tensor h = encoder_->forward(enc_in);
-  const Tensor mu = mu_head_->forward(h);
-  const Tensor logvar = logvar_head_->forward(h);
+  const Tensor h = tensor::tanh(encoder_.forward(enc_in));
+  const Tensor mu = mu_head_.forward(h);
+  const Tensor logvar = logvar_head_.forward(h);
 
   // Reparameterisation: z = mu + exp(logvar/2) * eps.
   const Tensor eps =
@@ -138,7 +136,8 @@ VaeLossParts Vae::loss(const Tensor& batch_onehot,
   Tensor z = mu + tensor::exp(tensor::scale(logvar, 0.5f)) * eps;
   if (options_.condition_dim > 0) z = tensor::concat_cols(z, cond_tensor);
 
-  const Tensor logits = decoder_->forward(z);
+  const Tensor logits =
+      decoder_out_.forward(tensor::tanh(decoder_hidden_.forward(z)));
   const Tensor flat =
       logits.reshape({batch * options_.n_sites, options_.n_species});
   // cross_entropy is a mean over B*n_sites rows; multiply by n_sites to
@@ -154,7 +153,7 @@ VaeLossParts Vae::loss(const Tensor& batch_onehot,
                                   -0.5f / static_cast<float>(batch));
 
   VaeLossParts parts;
-  parts.total = recon + tensor::scale(kl, options_.kl_weight);
+  parts.total = recon + kl;
   parts.reconstruction = recon.item();
   parts.kl = kl.item();
   return parts;
@@ -203,7 +202,8 @@ void Vae::decode_probs_rows(std::span<const float> zc, std::int64_t rows,
   const tensor::NoGradGuard no_grad;
   const Tensor zt = Tensor::from_data(
       {rows, in_dim}, std::vector<float>(zc.begin(), zc.end()));
-  const Tensor logits = decoder_->forward(zt);
+  const Tensor logits =
+      decoder_out_.forward(tensor::tanh(decoder_hidden_.forward(zt)));
   const auto& lv = logits.data();
 
   const auto s = static_cast<std::size_t>(options_.n_species);

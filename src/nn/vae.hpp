@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,7 +25,6 @@ struct VaeOptions {
   std::int32_t n_species = 0;
   std::int64_t hidden = 128;       ///< encoder/decoder hidden width
   std::int64_t latent = 16;        ///< latent dimensionality
-  float kl_weight = 1.0f;          ///< beta in beta-VAE terms
   float prob_floor = 1e-3f;        ///< uniform mixing of decoded categoricals
   /// > 0 turns the model into a conditional VAE: a condition vector
   /// (e.g. the normalised target energy of a REWL window) is appended to
@@ -44,6 +42,9 @@ struct VaeLossParts {
 class Vae {
  public:
   Vae(VaeOptions options, std::uint64_t seed);
+  /// Layers hold shared Tensor handles: a copy would alias the weights.
+  Vae(const Vae&) = delete;
+  Vae& operator=(const Vae&) = delete;
 
   [[nodiscard]] const VaeOptions& options() const { return options_; }
   [[nodiscard]] std::int64_t input_dim() const {
@@ -107,11 +108,16 @@ class Vae {
   void load(std::istream& is);
 
  private:
+  Vae(VaeOptions options, Xoshiro256ss rng);
+
+  // Declared, hence constructed, in Xavier-draw order; parameters()
+  // lists them in the same order.
   VaeOptions options_;
-  std::unique_ptr<Sequential> encoder_;   // input -> hidden (activated)
-  std::unique_ptr<Linear> mu_head_;       // hidden -> latent
-  std::unique_ptr<Linear> logvar_head_;   // hidden -> latent
-  std::unique_ptr<Sequential> decoder_;   // latent -> input logits
+  Linear encoder_;         // input (+ condition) -> hidden, then tanh
+  Linear mu_head_;         // hidden -> latent
+  Linear logvar_head_;     // hidden -> latent
+  Linear decoder_hidden_;  // latent (+ condition) -> hidden, then tanh
+  Linear decoder_out_;     // hidden -> input logits
 };
 
 }  // namespace dt::nn

@@ -32,7 +32,6 @@ DdpReport ddp_fit(Communicator& comm, nn::Trainer& trainer,
       static_cast<std::int64_t>(comm.allreduce_max(
           static_cast<double>(local_batches)));
 
-  const auto n_sites = static_cast<std::size_t>(shard.n_sites());
   DdpReport report;
   double loss_acc = 0.0;
 
@@ -42,7 +41,6 @@ DdpReport ddp_fit(Communicator& comm, nn::Trainer& trainer,
     for (std::int64_t step = 0; step < max_batches; ++step) {
       batch_buf.clear();
       cond_buf.clear();
-      std::int64_t b = 0;
       for (std::int32_t k = 0; k < batch_size; ++k) {
         const auto idx = static_cast<std::size_t>(
             (step * batch_size + k) % static_cast<std::int64_t>(shard.size()));
@@ -50,17 +48,16 @@ DdpReport ddp_fit(Communicator& comm, nn::Trainer& trainer,
         batch_buf.insert(batch_buf.end(), s.begin(), s.end());
         const auto c = shard.condition(idx);
         cond_buf.insert(cond_buf.end(), c.begin(), c.end());
-        ++b;
       }
-      (void)n_sites;
-      const auto parts = trainer.train_batch(batch_buf, b,
+      const auto parts = trainer.train_batch(batch_buf, batch_size,
                                              /*defer_optimizer_step=*/true,
                                              cond_buf);
       allreduce_gradients(comm, trainer.vae());
       trainer.apply_step();
 
       loss_acc += static_cast<double>(parts.total.item());
-      report.global_samples += b * comm.size();
+      report.global_samples +=
+          static_cast<std::int64_t>(batch_size) * comm.size();
       ++report.steps;
     }
   }

@@ -33,6 +33,9 @@ constexpr int kTagConfigUp = 14;
 constexpr int kTagDos = 15;
 constexpr int kTagReport = 16;
 
+/// Cap on the sweeps a walker spends driving into its window.
+constexpr std::int64_t kSeekSweeps = 2000;
+
 struct ExchangeStats {
   std::int64_t attempted = 0;
   std::int64_t accepted = 0;
@@ -146,8 +149,7 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
       // Seeking uses a plain local-swap kernel: robust regardless of what
       // the sampling proposal is (an untrained VAE would wander).
       mc::LocalSwapProposal seek_kernel(hamiltonian);
-      const bool inside =
-          walker.seek_window(seek_kernel, options.seek_sweeps);
+      const bool inside = walker.seek_window(seek_kernel, kSeekSweeps);
       DT_CHECK_MSG(inside, "rank " << rank
                                    << " failed to reach window ["
                                    << window.lo_bin << ", " << window.hi_bin

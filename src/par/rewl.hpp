@@ -38,7 +38,6 @@ struct RewlOptions {
   mc::WangLandauOptions wl;         ///< window bins are filled in per rank
   std::int64_t exchange_interval = 100;  ///< sweeps between exchanges
   std::int64_t max_sweeps = 200000;      ///< per-walker cap
-  std::int64_t seek_sweeps = 2000;       ///< cap for driving into windows
   std::uint64_t seed = 42;
   /// Cadence of rank 0's progress line (logged only while
   /// obs::instrumentation_active(): a telemetry sink or the

@@ -9,66 +9,42 @@
 
 namespace dt::tensor {
 
-Optimizer::Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {
-  for (const auto& p : params_)
-    DT_CHECK_MSG(p.requires_grad(), "optimizer parameter lacks requires_grad");
-}
+namespace {
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEps = 1e-8f;
+}  // namespace
 
-void Optimizer::zero_grad() {
-  for (auto& p : params_) p.zero_grad();
-}
-
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_)
-    velocity_.emplace_back(p.data().size(), 0.0f);
-}
-
-void Sgd::step() {
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    auto& value = params_[k].data();
-    const auto& grad = params_[k].grad();
-    auto& vel = velocity_[k];
-    for (std::size_t i = 0; i < value.size(); ++i) {
-      vel[i] = momentum_ * vel[i] - lr_ * grad[i];
-      value[i] += vel[i];
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
-           float eps)
-    : Optimizer(std::move(params)),
-      lr_(lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps) {
+Adam::Adam(std::vector<Tensor> params, float lr)
+    : params_(std::move(params)), lr_(lr) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
+    DT_CHECK_MSG(p.requires_grad(), "optimizer parameter lacks requires_grad");
     m_.emplace_back(p.data().size(), 0.0f);
     v_.emplace_back(p.data().size(), 0.0f);
   }
 }
 
+void Adam::zero_grad() {
+  for (auto& p : params_) p.zero_grad();
+}
+
 void Adam::step() {
   ++t_;
-  const float bc1 =
-      1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 =
-      1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (std::size_t k = 0; k < params_.size(); ++k) {
     auto& value = params_[k].data();
     const auto& grad = params_[k].grad();
     auto& m = m_[k];
     auto& v = v_[k];
     for (std::size_t i = 0; i < value.size(); ++i) {
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad[i];
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad[i] * grad[i];
+      m[i] = kBeta1 * m[i] + (1.0f - kBeta1) * grad[i];
+      v[i] = kBeta2 * v[i] + (1.0f - kBeta2) * grad[i] * grad[i];
       const float m_hat = m[i] / bc1;
       const float v_hat = v[i] / bc2;
-      value[i] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+      value[i] -= lr_ * m_hat / (std::sqrt(v_hat) + kEps);
     }
   }
 }

@@ -1,4 +1,4 @@
-// First-order optimizers over a flat parameter list.
+// Adam, the optimizer the VAE trains with, over a flat parameter list.
 //
 // Parameters are Tensors with requires_grad; step() reads each tensor's
 // gradient buffer and updates its value buffer in place, so the graph
@@ -12,48 +12,27 @@
 
 namespace dt::tensor {
 
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction and their defaults
+/// beta1 = 0.9, beta2 = 0.999, eps = 1e-8.
+class Adam {
  public:
-  virtual ~Optimizer() = default;
-  virtual void step() = 0;
+  Adam(std::vector<Tensor> params, float lr);
+  void step();
   void zero_grad();
 
   [[nodiscard]] const std::vector<Tensor>& parameters() const {
     return params_;
   }
 
- protected:
-  explicit Optimizer(std::vector<Tensor> params);
-  std::vector<Tensor> params_;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-  void step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f);
-  void step() override;
-
   /// Checkpoint the full optimizer state (step count + first/second
   /// moments); load_state into an Adam over the same parameter shapes
-  /// resumes bit-exactly. Hyperparameters are caller-managed.
+  /// resumes bit-exactly. The learning rate is caller-managed.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 
  private:
-  float lr_, beta1_, beta2_, eps_;
+  std::vector<Tensor> params_;
+  float lr_;
   std::int64_t t_ = 0;
   std::vector<std::vector<float>> m_, v_;
 };

@@ -26,6 +26,10 @@ namespace dt::validate {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+/// Energies are keyed by llround(E / kEnergyQuantum): coarse enough to
+/// absorb summation-order noise (~1e-12), fine enough to separate
+/// physical levels of any sane EPI set.
+constexpr double kEnergyQuantum = 1.0 / (1 << 20);
 
 std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
   for (const char c : s) {
@@ -52,7 +56,7 @@ std::uint64_t oracle_key(const lattice::EpiHamiltonian& ham,
             static_cast<lattice::Species>(b)));
   os << "|comp=";
   for (const auto c : composition) os << c << ',';
-  os << strformat("|q=%.17g|sro=%d", options.energy_quantum,
+  os << strformat("|q=%.17g|sro=%d", kEnergyQuantum,
                   options.with_sro ? 1 : 0);
   return fnv1a(0xcbf29ce484222325ULL, os.str());
 }
@@ -95,7 +99,6 @@ ExactOracle ExactOracle::enumerate(const lattice::EpiHamiltonian& ham,
   DT_CHECK_MSG(sum == lat.num_sites(),
                "oracle: composition sums to " << sum << ", lattice has "
                                               << lat.num_sites() << " sites");
-  DT_CHECK_MSG(options.energy_quantum > 0.0, "oracle: bad energy quantum");
   // Refuse hopeless enumerations up front (~1e9 states is already
   // minutes of CPU; beyond that the oracle is the wrong tool).
   std::vector<std::size_t> counts_sz;
@@ -124,14 +127,14 @@ ExactOracle ExactOracle::enumerate(const lattice::EpiHamiltonian& ham,
   do {
     cfg.assign(occ);
     const double e = ham.total_energy(cfg);
-    auto& slot = acc[std::llround(e / options.energy_quantum)];
+    auto& slot = acc[std::llround(e / kEnergyQuantum)];
     slot.count += 1.0;
     if (options.with_sro) slot.sro += lattice::sro_magnitude(cfg, 0);
     total += 1.0;
   } while (std::next_permutation(occ.begin(), occ.end()));
 
   ExactOracle out;
-  out.quantum_ = options.energy_quantum;
+  out.quantum_ = kEnergyQuantum;
   out.with_sro_ = options.with_sro;
   out.key_ = oracle_key(ham, lat, composition, options);
   out.total_ = total;
@@ -139,7 +142,7 @@ ExactOracle ExactOracle::enumerate(const lattice::EpiHamiltonian& ham,
   out.levels_.reserve(acc.size());
   for (const auto& [k, a] : acc)
     out.levels_.push_back(
-        {static_cast<double>(k) * options.energy_quantum, a.count, a.sro});
+        {static_cast<double>(k) * kEnergyQuantum, a.count, a.sro});
   out.e_min_ = out.levels_.front().energy;
   out.e_max_ = out.levels_.back().energy;
   return out;

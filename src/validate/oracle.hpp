@@ -41,10 +41,6 @@
 namespace dt::validate {
 
 struct OracleOptions {
-  /// Energies are keyed by llround(E / energy_quantum): coarse enough to
-  /// absorb summation-order noise (~1e-12), fine enough to separate
-  /// physical levels of any sane EPI set.
-  double energy_quantum = 1.0 / (1 << 20);
   /// Accumulate the shell-0 sro_magnitude per level (doubles the
   /// enumeration cost; required for exact_mean_sro()).
   bool with_sro = false;

@@ -196,6 +196,14 @@ TEST(Framework, BadRewlLayoutThrowsFromTheConstructor) {
   expect_rejected("global_fraction", [](O& o) { o.global_fraction = -0.1; });
   expect_rejected("walkers_per_window",
                   [](O& o) { o.rewl.walkers_per_window = 0; });
+  expect_rejected("exchange_interval",
+                  [](O& o) { o.rewl.exchange_interval = 0; });
+  expect_rejected("log_f_final", [](O& o) { o.rewl.wl.log_f_final = 2.0; });
+  expect_rejected("log_f_final", [](O& o) { o.rewl.wl.log_f_final = 0.0; });
+  // nbmotaw() builds only the quaternary BCC system.
+  expect_rejected("n_species", [](O& o) { o.n_species = 3; });
+  expect_rejected("lattice",
+                  [](O& o) { o.lattice.type = lattice::LatticeType::kFCC; });
 }
 
 TEST(Framework, MismatchedSpeciesCountThrows) {

@@ -23,27 +23,6 @@ std::vector<float> minimize_quadratic(const MakeOpt& make_opt, int steps) {
   return x.data();
 }
 
-TEST(Sgd, ConvergesOnQuadratic) {
-  const auto x = minimize_quadratic(
-      [](std::vector<Tensor> p) {
-        return std::make_unique<Sgd>(std::move(p), 0.1f);
-      },
-      200);
-  EXPECT_NEAR(x[0], 1.0f, 1e-3);
-  EXPECT_NEAR(x[1], 2.0f, 1e-3);
-  EXPECT_NEAR(x[2], -3.0f, 1e-3);
-}
-
-TEST(Sgd, MomentumAcceleratesButConverges) {
-  const auto x = minimize_quadratic(
-      [](std::vector<Tensor> p) {
-        return std::make_unique<Sgd>(std::move(p), 0.02f, 0.9f);
-      },
-      300);
-  EXPECT_NEAR(x[0], 1.0f, 1e-2);
-  EXPECT_NEAR(x[1], 2.0f, 1e-2);
-}
-
 TEST(Adam, ConvergesOnQuadratic) {
   const auto x = minimize_quadratic(
       [](std::vector<Tensor> p) {
@@ -67,7 +46,7 @@ TEST(Adam, FirstStepIsLrSized) {
 
 TEST(Optimizer, ZeroGradClears) {
   auto x = Tensor::from_data({2}, {1.0f, 2.0f}, true);
-  Sgd opt({x}, 0.1f);
+  Adam opt({x}, 0.1f);
   auto loss = sum(square(x));
   loss.backward();
   EXPECT_NE(x.grad()[0], 0.0f);
@@ -78,7 +57,6 @@ TEST(Optimizer, ZeroGradClears) {
 
 TEST(Optimizer, RejectsConstantParameters) {
   auto x = Tensor::from_data({2}, {1.0f, 2.0f});  // no grad
-  EXPECT_THROW((void)Sgd({x}, 0.1f), dt::Error);
   EXPECT_THROW((void)Adam({x}, 0.1f), dt::Error);
 }
 
