@@ -114,19 +114,9 @@ VaeLossParts Trainer::train_batch(std::span<const std::uint8_t> occupancies,
                                   std::int64_t batch_size,
                                   bool defer_optimizer_step,
                                   std::span<const float> conditions) {
-  const auto n_sites = vae_->options().n_sites;
   DT_CHECK(static_cast<std::int64_t>(occupancies.size()) ==
-           batch_size * n_sites);
-
-  const std::vector<float> onehot = vae_->one_hot(occupancies, batch_size);
-  const tensor::Tensor batch = tensor::Tensor::from_data(
-      {batch_size, vae_->input_dim()}, onehot);
-  std::vector<std::int32_t> labels(occupancies.size());
-  for (std::size_t i = 0; i < occupancies.size(); ++i)
-    labels[i] = occupancies[i];
-
-  VaeLossParts parts = vae_->loss(batch, labels, rng_, conditions);
-  parts.total.backward();
+           batch_size * vae_->options().n_sites);
+  const VaeLossParts parts = vae_->loss(occupancies, rng_, conditions);
   if (!defer_optimizer_step) optimizer_.step();
   return parts;
 }
@@ -148,11 +138,9 @@ void Trainer::load_state(std::istream& is) {
 
 float Trainer::gradient_norm() const {
   double sum_sq = 0.0;
-  for (const auto& p : vae_->parameters()) {
-    if (!p.requires_grad()) continue;
-    for (const float g : p.grad())
+  for (const auto& p : vae_->parameters())
+    for (const float g : p.grad)
       sum_sq += static_cast<double>(g) * static_cast<double>(g);
-  }
   return static_cast<float>(std::sqrt(sum_sq));
 }
 
@@ -165,7 +153,6 @@ TrainReport Trainer::fit(const ConfigDataset& dataset, const EpochHook& hook,
                "fit(): first_epoch out of range");
 
   const auto n_samples = dataset.size();
-  const auto n_sites = static_cast<std::size_t>(dataset.n_sites());
   std::vector<std::size_t> order(n_samples);
   std::iota(order.begin(), order.end(), 0);
 
@@ -204,17 +191,16 @@ TrainReport Trainer::fit(const ConfigDataset& dataset, const EpochHook& hook,
       }
       const VaeLossParts parts =
           train_batch(batch_buf, b, /*defer_optimizer_step=*/false, cond_buf);
-      loss_acc += static_cast<double>(parts.total.item());
+      loss_acc += static_cast<double>(parts.total);
       last_recon = parts.reconstruction;
       last_kl = parts.kl;
       ++batches;
       report.samples_seen += b;
-      (void)n_sites;
     }
     const auto mean_loss =
         static_cast<float>(loss_acc / static_cast<double>(batches));
-    // Gradients persist between backward() calls, so the last batch's
-    // gradient is still live here.
+    // Each batch overwrites the gradients, which stay in place until the
+    // next one, so the last batch's gradient is still live here.
     const float grad_norm = gradient_norm();
     report.epoch_loss.push_back(mean_loss);
     report.epoch_grad_norm.push_back(grad_norm);

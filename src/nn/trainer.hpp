@@ -80,6 +80,8 @@ using EpochHook = std::function<void(std::int32_t, float)>;
 
 class Trainer {
  public:
+  /// `vae` must outlive the trainer: its Adam holds views of the
+  /// weight and gradient buffers and updates them in place.
   Trainer(Vae& vae, TrainOptions options);
 
   /// Run epochs [first_epoch, options.epochs) over the dataset. The
@@ -92,8 +94,8 @@ class Trainer {
   /// One gradient step on an explicit batch of occupancy vectors laid out
   /// back to back (`conditions` likewise, batch*condition_dim floats for
   /// conditional models). Returns the loss parts. Exposed for the
-  /// data-parallel trainer, which reduces gradients between backward()
-  /// and step().
+  /// data-parallel trainer, which reduces gradients between the backward
+  /// pass and step().
   VaeLossParts train_batch(std::span<const std::uint8_t> occupancies,
                            std::int64_t batch_size,
                            bool defer_optimizer_step = false,
@@ -106,7 +108,6 @@ class Trainer {
   /// train_batch / backward pass).
   [[nodiscard]] float gradient_norm() const;
 
-  [[nodiscard]] tensor::Adam& optimizer() { return optimizer_; }
   [[nodiscard]] Vae& vae() { return *vae_; }
 
   /// Checkpoint the trainer-owned mutable state: Adam moments + step

@@ -1,14 +1,15 @@
 #include "nn/vae.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
 
-#include <bit>
-#include <cstdint>
-
 #include "common/error.hpp"
+#include "tensor/gemm.hpp"
 
 namespace dt::nn {
 
@@ -46,7 +47,42 @@ inline float vec_expf(float x) {
 
 }  // namespace detail
 
-using tensor::Tensor;
+Linear::Linear(std::size_t in_features, std::size_t out_features,
+               Xoshiro256ss& rng)
+    : in(in_features),
+      out(out_features),
+      weight(in_features * out_features),
+      bias(out_features, 0.0f),
+      weight_grad(weight.size(), 0.0f),
+      bias_grad(out_features, 0.0f) {
+  DT_CHECK(in_features > 0 && out_features > 0);
+  const float stddev =
+      std::sqrt(2.0f / static_cast<float>(in_features + out_features));
+  for (auto& w : weight) w = stddev * static_cast<float>(normal01(rng));
+}
+
+void Linear::forward(const float* x, std::size_t rows, float* y) const {
+  tensor::gemm_nn(rows, in, out, x, weight.data(), y);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < out; ++c) y[r * out + c] += bias[c];
+}
+
+void Linear::infer(const float* x, std::size_t rows, float* y) const {
+  for (std::size_t r = 0; r < rows; ++r)
+    std::memcpy(y + r * out, bias.data(), out * sizeof(float));
+  tensor::gemm_nn_acc(rows, in, out, x, weight.data(), y);
+}
+
+void Linear::backward(const float* x, const float* dy, std::size_t rows,
+                      float* dx, std::size_t dx_cols) {
+  std::fill(bias_grad.begin(), bias_grad.end(), 0.0f);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < out; ++c) bias_grad[c] += dy[r * out + c];
+  std::fill(weight_grad.begin(), weight_grad.end(), 0.0f);
+  tensor::gemm_tn_acc(rows, in, out, x, dy, weight_grad.data());
+  if (dx != nullptr)
+    tensor::gemm_nt_acc(rows, dx_cols, out, dy, weight.data(), dx);
+}
 
 namespace {
 
@@ -59,6 +95,10 @@ const VaeOptions& checked(const VaeOptions& options) {
   return options;
 }
 
+std::size_t to_size(std::int64_t n) { return static_cast<std::size_t>(n); }
+
+constexpr char kMagic[8] = {'D', 'T', 'V', 'A', 'E', '0', '0', '1'};
+
 }  // namespace
 
 Vae::Vae(VaeOptions options, std::uint64_t seed)
@@ -66,97 +106,168 @@ Vae::Vae(VaeOptions options, std::uint64_t seed)
 
 Vae::Vae(VaeOptions options, Xoshiro256ss rng)
     : options_(options),
-      encoder_(input_dim() + options.condition_dim, options.hidden, rng),
-      mu_head_(options.hidden, options.latent, rng),
-      logvar_head_(options.hidden, options.latent, rng),
-      decoder_hidden_(options.latent + options.condition_dim, options.hidden,
-                      rng),
-      decoder_out_(options.hidden, input_dim(), rng) {}
+      encoder_(to_size(input_dim() + options.condition_dim),
+               to_size(options.hidden), rng),
+      mu_head_(to_size(options.hidden), to_size(options.latent), rng),
+      logvar_head_(to_size(options.hidden), to_size(options.latent), rng),
+      decoder_hidden_(to_size(options.latent + options.condition_dim),
+                      to_size(options.hidden), rng),
+      decoder_out_(to_size(options.hidden), to_size(input_dim()), rng) {}
 
-std::vector<Tensor> Vae::parameters() const {
-  std::vector<Tensor> out;
-  for (const Linear* layer : {&encoder_, &mu_head_, &logvar_head_,
-                              &decoder_hidden_, &decoder_out_}) {
-    const auto p = layer->parameters();
-    out.insert(out.end(), p.begin(), p.end());
+std::vector<tensor::Param> Vae::parameters() {
+  std::vector<tensor::Param> out;
+  for (Linear* layer : {&encoder_, &mu_head_, &logvar_head_,
+                        &decoder_hidden_, &decoder_out_}) {
+    out.push_back({layer->weight, layer->weight_grad});
+    out.push_back({layer->bias, layer->bias_grad});
   }
   return out;
 }
 
 std::int64_t Vae::parameter_count() const {
-  std::int64_t count = 0;
-  for (const auto& p : parameters()) count += p.numel();
-  return count;
+  std::size_t count = 0;
+  for (const Linear* layer : {&encoder_, &mu_head_, &logvar_head_,
+                              &decoder_hidden_, &decoder_out_})
+    count += layer->weight.size() + layer->bias.size();
+  return static_cast<std::int64_t>(count);
 }
 
 std::vector<float> Vae::one_hot(std::span<const std::uint8_t> occupancies,
-                                std::int64_t batch_size) const {
+                                std::int64_t batch_size,
+                                std::span<const float> conditions) const {
   const auto n = static_cast<std::size_t>(options_.n_sites);
   const auto s = static_cast<std::size_t>(options_.n_species);
-  DT_CHECK_MSG(occupancies.size() ==
-                   n * static_cast<std::size_t>(batch_size),
+  const auto c = static_cast<std::size_t>(options_.condition_dim);
+  const auto batch = static_cast<std::size_t>(batch_size);
+  DT_CHECK_MSG(occupancies.size() == n * batch,
                "one_hot: occupancy size mismatch");
-  std::vector<float> out(occupancies.size() * s, 0.0f);
-  for (std::size_t i = 0; i < occupancies.size(); ++i) {
-    DT_CHECK(occupancies[i] < s);
-    out[i * s + occupancies[i]] = 1.0f;
+  DT_CHECK_MSG(conditions.size() == c * batch,
+               "one_hot: conditions size must be batch * condition_dim");
+  const std::size_t width = n * s + c;
+  std::vector<float> out(batch * width, 0.0f);
+  for (std::size_t b = 0; b < batch; ++b) {
+    float* row = &out[b * width];
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint8_t species = occupancies[b * n + i];
+      DT_CHECK(species < s);
+      row[i * s + species] = 1.0f;
+    }
+    std::copy_n(conditions.data() + b * c, c, row + n * s);
   }
   return out;
 }
 
-VaeLossParts Vae::loss(const Tensor& batch_onehot,
-                       const std::vector<std::int32_t>& labels,
+// Forward and backward are written out for this one network, in a fixed
+// operation order: trained weights, and through them trajectories and
+// checkpoints, depend on every rounding (Trainer.TrainingMatchesGoldenHash
+// pins them). Where a product is rounded on its own before it is added,
+// it gets its own loop: in one expression GCC would contract the pair
+// into an FMA and change the bits.
+VaeLossParts Vae::loss(std::span<const std::uint8_t> occupancies,
                        Xoshiro256ss& eps_rng,
                        std::span<const float> conditions) {
-  DT_CHECK(batch_onehot.shape().size() == 2);
-  DT_CHECK(batch_onehot.shape()[1] == input_dim());
-  const std::int64_t batch = batch_onehot.shape()[0];
-  DT_CHECK(static_cast<std::int64_t>(labels.size()) ==
-           batch * options_.n_sites);
-  DT_CHECK_MSG(static_cast<std::int64_t>(conditions.size()) ==
-                   batch * options_.condition_dim,
-               "loss(): conditions size must be batch * condition_dim");
+  const auto sites = static_cast<std::size_t>(options_.n_sites);
+  const auto species = static_cast<std::size_t>(options_.n_species);
+  DT_CHECK_MSG(!occupancies.empty() && occupancies.size() % sites == 0,
+               "loss(): occupancies must hold whole configurations");
+  const std::size_t batch = occupancies.size() / sites;
+  const auto hidden = static_cast<std::size_t>(options_.hidden);
+  const auto latent = static_cast<std::size_t>(options_.latent);
+  const auto cdim = static_cast<std::size_t>(options_.condition_dim);
+  const std::size_t n = batch * latent;
 
-  Tensor cond_tensor;
-  Tensor enc_in = batch_onehot;
-  if (options_.condition_dim > 0) {
-    cond_tensor = Tensor::from_data(
-        {batch, options_.condition_dim},
-        std::vector<float>(conditions.begin(), conditions.end()));
-    enc_in = tensor::concat_cols(batch_onehot, cond_tensor);
+  // ---- forward ----
+  const std::vector<float> x =
+      one_hot(occupancies, static_cast<std::int64_t>(batch), conditions);
+  std::vector<float> h(batch * hidden);
+  encoder_.forward(x.data(), batch, h.data());
+  for (auto& v : h) v = std::tanh(v);
+  std::vector<float> mu(n), logvar(n);
+  mu_head_.forward(h.data(), batch, mu.data());
+  logvar_head_.forward(h.data(), batch, logvar.data());
+
+  // Reparameterisation: z = mu + exp(logvar/2) * eps, the decoder input
+  // row [z | condition].
+  std::vector<float> eps(n), sigma(n);
+  for (auto& e : eps) e = static_cast<float>(normal01(eps_rng));
+  for (std::size_t i = 0; i < n; ++i) sigma[i] = std::exp(0.5f * logvar[i]);
+  const std::size_t zw = latent + cdim;
+  std::vector<float> zc(batch * zw);
+  for (std::size_t r = 0; r < batch; ++r) {
+    for (std::size_t j = 0; j < latent; ++j)
+      zc[r * zw + j] = sigma[r * latent + j] * eps[r * latent + j];
+    std::copy_n(conditions.data() + r * cdim, cdim,
+                zc.data() + r * zw + latent);
   }
+  for (std::size_t r = 0; r < batch; ++r)
+    for (std::size_t j = 0; j < latent; ++j)
+      zc[r * zw + j] = mu[r * latent + j] + zc[r * zw + j];
 
-  const Tensor h = tensor::tanh(encoder_.forward(enc_in));
-  const Tensor mu = mu_head_.forward(h);
-  const Tensor logvar = logvar_head_.forward(h);
+  std::vector<float> hd(batch * hidden);
+  decoder_hidden_.forward(zc.data(), batch, hd.data());
+  for (auto& v : hd) v = std::tanh(v);
+  std::vector<float> logits(batch * sites * species);
+  decoder_out_.forward(hd.data(), batch, logits.data());
 
-  // Reparameterisation: z = mu + exp(logvar/2) * eps.
-  const Tensor eps =
-      Tensor::randn({batch, options_.latent}, 1.0f, eps_rng);
-  Tensor z = mu + tensor::exp(tensor::scale(logvar, 0.5f)) * eps;
-  if (options_.condition_dim > 0) z = tensor::concat_cols(z, cond_tensor);
-
-  const Tensor logits =
-      decoder_out_.forward(tensor::tanh(decoder_hidden_.forward(z)));
-  const Tensor flat =
-      logits.reshape({batch * options_.n_sites, options_.n_species});
-  // cross_entropy is a mean over B*n_sites rows; multiply by n_sites to
-  // get the mean per-sample reconstruction NLL.
-  const Tensor recon = tensor::scale(
-      tensor::cross_entropy_with_logits(flat, labels),
-      static_cast<float>(options_.n_sites));
+  // Reconstruction: mean cross-entropy over the batch * sites categorical
+  // blocks, times sites -- the mean per-sample NLL. Each block's logits
+  // are overwritten with their gradient, (softmax - onehot) * sites /
+  // (batch * sites).
+  const std::size_t rows = batch * sites;
+  const float g = static_cast<float>(options_.n_sites) /
+                  static_cast<float>(rows);
+  float nll = 0.0f;
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = &logits[r * species];
+    float hi = row[0];
+    for (std::size_t c = 1; c < species; ++c) hi = std::max(hi, row[c]);
+    float zsum = 0.0f;
+    for (std::size_t c = 0; c < species; ++c) zsum += std::exp(row[c] - hi);
+    const float log_z = hi + std::log(zsum);
+    const std::size_t label = occupancies[r];
+    nll -= row[label] - log_z;
+    for (std::size_t c = 0; c < species; ++c)
+      row[c] = g * (std::exp(row[c] - log_z) - (c == label ? 1.0f : 0.0f));
+  }
+  nll /= static_cast<float>(rows);
+  const float recon = static_cast<float>(options_.n_sites) * nll;
 
   // KL(q||N(0,I)) = -1/2 sum(1 + logvar - mu^2 - e^logvar), mean over B.
-  const Tensor kl_terms = tensor::add_scalar(logvar, 1.0f) -
-                          tensor::square(mu) - tensor::exp(logvar);
-  const Tensor kl = tensor::scale(tensor::sum(kl_terms),
-                                  -0.5f / static_cast<float>(batch));
+  const float kl_scale = -0.5f / static_cast<float>(batch);
+  std::vector<float> dmu(n), dlogvar(n);
+  // dmu holds mu^2 until the backward pass overwrites it.
+  for (std::size_t i = 0; i < n; ++i) dmu[i] = mu[i] * mu[i];
+  float kl_sum = 0.0f;
+  for (std::size_t i = 0; i < n; ++i)
+    kl_sum += ((logvar[i] + 1.0f) - dmu[i]) - std::exp(logvar[i]);
+  const float kl = kl_scale * kl_sum;
 
-  VaeLossParts parts;
-  parts.total = recon + kl;
-  parts.reconstruction = recon.item();
-  parts.kl = kl.item();
-  return parts;
+  // ---- backward: the KL terms first, then the reconstruction ----
+  for (std::size_t i = 0; i < n; ++i) {
+    dlogvar[i] = -kl_scale * std::exp(logvar[i]);
+    dmu[i] = -kl_scale * (2.0f * mu[i]);
+  }
+  std::vector<float> dhd(batch * hidden, 0.0f);
+  decoder_out_.backward(hd.data(), logits.data(), batch, dhd.data(), hidden);
+  for (std::size_t i = 0; i < dhd.size(); ++i)
+    dhd[i] = dhd[i] * (1.0f - hd[i] * hd[i]);
+  std::vector<float> dz(n, 0.0f);
+  decoder_hidden_.backward(zc.data(), dhd.data(), batch, dz.data(), latent);
+  for (std::size_t i = 0; i < n; ++i) {
+    dmu[i] += dz[i];
+    const float dsigma = dz[i] * eps[i];
+    const float dhalf = dsigma * sigma[i];
+    const float kl_part = dlogvar[i] + kl_scale;
+    dlogvar[i] = kl_part + dhalf * 0.5f;
+  }
+  std::vector<float> dh(batch * hidden, 0.0f);
+  mu_head_.backward(h.data(), dmu.data(), batch, dh.data(), hidden);
+  logvar_head_.backward(h.data(), dlogvar.data(), batch, dh.data(), hidden);
+  for (std::size_t i = 0; i < dh.size(); ++i)
+    dh[i] = dh[i] * (1.0f - h[i] * h[i]);
+  encoder_.backward(x.data(), dh.data(), batch);
+
+  return {recon + kl, recon, kl};
 }
 
 std::vector<float> Vae::decode_probs(std::span<const float> z,
@@ -198,13 +309,11 @@ void Vae::decode_probs_rows(std::span<const float> zc, std::int64_t rows,
   DT_CHECK_MSG(static_cast<std::int64_t>(zc.size()) == rows * in_dim,
                "decode_probs_rows(): zc size must be rows * "
                "(latent + condition_dim)");
-  // Sampling-only path: skip tape construction entirely.
-  const tensor::NoGradGuard no_grad;
-  const Tensor zt = Tensor::from_data(
-      {rows, in_dim}, std::vector<float>(zc.begin(), zc.end()));
-  const Tensor logits =
-      decoder_out_.forward(tensor::tanh(decoder_hidden_.forward(zt)));
-  const auto& lv = logits.data();
+  const auto n = static_cast<std::size_t>(rows);
+  std::vector<float> hidden(n * static_cast<std::size_t>(options_.hidden));
+  decoder_hidden_.infer(zc.data(), n, hidden.data());
+  for (auto& v : hidden) v = std::tanh(v);
+  decoder_out_.infer(hidden.data(), n, out);
 
   const auto s = static_cast<std::size_t>(options_.n_species);
   const auto blocks = static_cast<std::size_t>(rows) *
@@ -219,8 +328,7 @@ void Vae::decode_probs_rows(std::span<const float> zc, std::int64_t rows,
     // polynomial arithmetic, so gcc keeps the whole body vectorised
     // where a std::exp call would serialise it.
     for (std::size_t site = 0; site < blocks; ++site) {
-      const float* block = &lv[site * 4];
-      float* orow = out + site * 4;
+      float* block = out + site * 4;
       const float m01 = block[0] < block[1] ? block[1] : block[0];
       const float m23 = block[2] < block[3] ? block[3] : block[2];
       const float hi = m01 < m23 ? m23 : m01;
@@ -229,25 +337,25 @@ void Vae::decode_probs_rows(std::span<const float> zc, std::int64_t rows,
       const float e2 = detail::vec_expf(block[2] - hi);
       const float e3 = detail::vec_expf(block[3] - hi);
       const float scale = one_minus_floor / (e0 + e1 + e2 + e3);
-      orow[0] = scale * e0 + floor_each;
-      orow[1] = scale * e1 + floor_each;
-      orow[2] = scale * e2 + floor_each;
-      orow[3] = scale * e3 + floor_each;
+      block[0] = scale * e0 + floor_each;
+      block[1] = scale * e1 + floor_each;
+      block[2] = scale * e2 + floor_each;
+      block[3] = scale * e3 + floor_each;
     }
     return;
   }
   // Generic species count: three flat passes so the exp pass -- the
   // decode hot spot at rows * n_sites * n_species elements -- still
   // vectorises even though s is a runtime value.
-  std::vector<float> him(lv.size());  // per-site max, replicated per entry
+  std::vector<float> him(blocks * s);  // per-site max, replicated per entry
   for (std::size_t site = 0; site < blocks; ++site) {
-    const float* block = &lv[site * s];
+    const float* block = out + site * s;
     float hi = block[0];
     for (std::size_t k = 1; k < s; ++k) hi = std::max(hi, block[k]);
     for (std::size_t k = 0; k < s; ++k) him[site * s + k] = hi;
   }
-  for (std::size_t i = 0; i < lv.size(); ++i)
-    out[i] = detail::vec_expf(lv[i] - him[i]);
+  for (std::size_t i = 0; i < him.size(); ++i)
+    out[i] = detail::vec_expf(out[i] - him[i]);
   for (std::size_t site = 0; site < blocks; ++site) {
     float* block = out + site * s;
     float zsum = 0.0f;
@@ -259,31 +367,32 @@ void Vae::decode_probs_rows(std::span<const float> zc, std::int64_t rows,
 }
 
 void Vae::save(std::ostream& os) const {
-  const char magic[8] = {'D', 'T', 'V', 'A', 'E', '0', '0', '1'};
-  os.write(magic, sizeof(magic));
-  for (const auto& p : parameters()) {
-    const auto n = static_cast<std::int64_t>(p.data().size());
-    os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-    os.write(reinterpret_cast<const char*>(p.data().data()),
-             static_cast<std::streamsize>(n * static_cast<std::int64_t>(
-                                                  sizeof(float))));
-  }
+  os.write(kMagic, sizeof(kMagic));
+  for (const Linear* layer : {&encoder_, &mu_head_, &logvar_head_,
+                              &decoder_hidden_, &decoder_out_})
+    for (const std::vector<float>* p : {&layer->weight, &layer->bias}) {
+      const auto n = static_cast<std::int64_t>(p->size());
+      os.write(reinterpret_cast<const char*>(&n), sizeof(n));
+      os.write(reinterpret_cast<const char*>(p->data()),
+               static_cast<std::streamsize>(
+                   n * static_cast<std::int64_t>(sizeof(float))));
+    }
   DT_CHECK_MSG(os.good(), "VAE save failed");
 }
 
 void Vae::load(std::istream& is) {
-  char magic[8];
+  char magic[sizeof(kMagic)];
   is.read(magic, sizeof(magic));
-  DT_CHECK_MSG(is.good() && std::string(magic, 5) == "DTVAE",
+  DT_CHECK_MSG(is.good() && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
                "VAE load: bad magic");
-  for (auto& p : parameters()) {
+  for (const auto& p : parameters()) {
     std::int64_t n = 0;
     is.read(reinterpret_cast<char*>(&n), sizeof(n));
-    DT_CHECK_MSG(is.good() && n == static_cast<std::int64_t>(p.data().size()),
+    DT_CHECK_MSG(is.good() && n == static_cast<std::int64_t>(p.value.size()),
                  "VAE load: parameter size mismatch (" << n << " vs "
-                                                       << p.data().size()
+                                                       << p.value.size()
                                                        << ")");
-    is.read(reinterpret_cast<char*>(p.data().data()),
+    is.read(reinterpret_cast<char*>(p.value.data()),
             static_cast<std::streamsize>(n * static_cast<std::int64_t>(
                                                  sizeof(float))));
     DT_CHECK_MSG(is.good(), "VAE load: truncated stream");

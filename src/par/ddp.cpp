@@ -9,10 +9,9 @@ namespace dt::par {
 
 void allreduce_gradients(Communicator& comm, nn::Vae& vae) {
   const float inv = 1.0f / static_cast<float>(comm.size());
-  for (auto& p : vae.parameters()) {
-    auto& grad = p.grad();
-    comm.allreduce_sum(std::span<float>(grad.data(), grad.size()));
-    for (auto& g : grad) g *= inv;
+  for (const auto& p : vae.parameters()) {
+    comm.allreduce_sum(p.grad);
+    for (auto& g : p.grad) g *= inv;
   }
 }
 
@@ -55,7 +54,7 @@ DdpReport ddp_fit(Communicator& comm, nn::Trainer& trainer,
       allreduce_gradients(comm, trainer.vae());
       trainer.apply_step();
 
-      loss_acc += static_cast<double>(parts.total.item());
+      loss_acc += static_cast<double>(parts.total);
       report.global_samples +=
           static_cast<std::int64_t>(batch_size) * comm.size();
       ++report.steps;

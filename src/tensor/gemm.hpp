@@ -1,4 +1,4 @@
-// Blocked single-precision GEMM kernels backing tensor::matmul.
+// Blocked single-precision GEMM kernels behind the VAE's Linear layers.
 //
 // Three variants cover the forward pass and both backward contractions of
 // Y = A.B without materialising any transpose:

@@ -15,19 +15,16 @@ constexpr float kBeta2 = 0.999f;
 constexpr float kEps = 1e-8f;
 }  // namespace
 
-Adam::Adam(std::vector<Tensor> params, float lr)
+Adam::Adam(std::vector<Param> params, float lr)
     : params_(std::move(params)), lr_(lr) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
-    DT_CHECK_MSG(p.requires_grad(), "optimizer parameter lacks requires_grad");
-    m_.emplace_back(p.data().size(), 0.0f);
-    v_.emplace_back(p.data().size(), 0.0f);
+    DT_CHECK_MSG(p.grad.size() == p.value.size(),
+                 "optimizer parameter lacks a gradient of its size");
+    m_.emplace_back(p.value.size(), 0.0f);
+    v_.emplace_back(p.value.size(), 0.0f);
   }
-}
-
-void Adam::zero_grad() {
-  for (auto& p : params_) p.zero_grad();
 }
 
 void Adam::step() {
@@ -35,8 +32,8 @@ void Adam::step() {
   const float bc1 = 1.0f - std::pow(kBeta1, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(kBeta2, static_cast<float>(t_));
   for (std::size_t k = 0; k < params_.size(); ++k) {
-    auto& value = params_[k].data();
-    const auto& grad = params_[k].grad();
+    const std::span<float> value = params_[k].value;
+    const std::span<const float> grad = params_[k].grad;
     auto& m = m_[k];
     auto& v = v_[k];
     for (std::size_t i = 0; i < value.size(); ++i) {
@@ -67,6 +64,7 @@ void Adam::load_state(std::istream& is) {
   DT_CHECK_MSG(read_pod<std::uint64_t>(is) == kAdamMagic,
                "Adam checkpoint: bad magic");
   const auto t = read_pod<std::int64_t>(is);
+  DT_CHECK_MSG(t >= 0, "Adam checkpoint: negative step count " << t);
   const auto n = read_pod<std::uint64_t>(is);
   DT_CHECK_MSG(n == m_.size(), "Adam checkpoint: parameter count mismatch");
   for (std::size_t k = 0; k < m_.size(); ++k) {

@@ -18,6 +18,10 @@ nn::VaeOptions small_opts() {
   return o;
 }
 
+std::vector<float> copy(std::span<const float> buffer) {
+  return {buffer.begin(), buffer.end()};
+}
+
 std::vector<std::uint8_t> striped_sample(int offset) {
   std::vector<std::uint8_t> occ(16);
   for (int i = 0; i < 16; ++i)
@@ -38,7 +42,8 @@ TEST(Ddp, GradientAllreduceAveragesAcrossRanks) {
     const auto occ = striped_sample(comm.rank());
     (void)trainer.train_batch(occ, 1, /*defer_optimizer_step=*/true);
     allreduce_gradients(comm, vae);
-    grads[static_cast<std::size_t>(comm.rank())] = vae.parameters()[0].grad();
+    grads[static_cast<std::size_t>(comm.rank())] =
+        copy(vae.parameters()[0].grad);
   });
   EXPECT_EQ(grads[0], grads[1]);
   EXPECT_EQ(grads[1], grads[2]);
@@ -54,7 +59,7 @@ TEST(Ddp, ReducedGradientEqualsManualAverage) {
     to.seed = 7;
     nn::Trainer trainer(vae, to);
     (void)trainer.train_batch(striped_sample(r), 1, true);
-    singles[static_cast<std::size_t>(r)] = vae.parameters()[0].grad();
+    singles[static_cast<std::size_t>(r)] = copy(vae.parameters()[0].grad);
   }
   std::vector<float> manual(singles[0].size());
   for (std::size_t i = 0; i < manual.size(); ++i)
@@ -69,7 +74,7 @@ TEST(Ddp, ReducedGradientEqualsManualAverage) {
     nn::Trainer trainer(vae, to);
     (void)trainer.train_batch(striped_sample(comm.rank()), 1, true);
     allreduce_gradients(comm, vae);
-    if (comm.rank() == 0) reduced = vae.parameters()[0].grad();
+    if (comm.rank() == 0) reduced = copy(vae.parameters()[0].grad);
   });
   ASSERT_EQ(reduced.size(), manual.size());
   for (std::size_t i = 0; i < manual.size(); ++i)
@@ -95,7 +100,7 @@ TEST(Ddp, ReplicasStayInSyncAcrossEpochs) {
     EXPECT_GT(report.steps, 0);
     EXPECT_GT(report.global_samples, 0);
     weights[static_cast<std::size_t>(comm.rank())] =
-        vae.parameters()[0].data();
+        copy(vae.parameters()[0].value);
   });
   for (int r = 1; r < 4; ++r)
     EXPECT_EQ(weights[0], weights[static_cast<std::size_t>(r)])
@@ -139,7 +144,7 @@ TEST(Ddp, UnevenShardsStayCollective) {
     for (int i = 0; i < count; ++i) shard.add(striped_sample(i), rng);
     (void)ddp_fit(comm, trainer, shard, 1, 4);
     weights[static_cast<std::size_t>(comm.rank())] =
-        vae.parameters()[0].data();
+        copy(vae.parameters()[0].value);
   });
   EXPECT_EQ(weights[0], weights[1]);
 }

@@ -1,4 +1,4 @@
-// Correctness of the blocked GEMM kernels behind tensor::matmul, pinned
+// Correctness of the blocked GEMM kernels behind the VAE, pinned
 // against a naive triple loop: randomized shapes including degenerate
 // and non-block-multiple edges, accumulate semantics of the backward
 // kernels, and bitwise serial == parallel equality (the parallel path
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "tensor/tensor.hpp"
 
 namespace dt::tensor {
 namespace {
@@ -205,51 +204,6 @@ TEST(GemmNN, BatchedRowsMatchRowAtATime) {
       ASSERT_EQ(batched[i], row_at_a_time[i]) << "m=" << m << " flat " << i;
   }
 }
-
-// End-to-end through the autograd layer: forward values and both input
-// gradients of matmul must match the naive reference.
-TEST(TensorMatmul, ForwardAndBackwardMatchNaive) {
-  const std::int64_t m = 5, k = 37, n = 19;
-  const auto av = random_matrix(m, k, 11);
-  const auto bv = random_matrix(k, n, 12);
-
-  auto a = Tensor::from_data({m, k}, av, /*requires_grad=*/true);
-  auto b = Tensor::from_data({k, n}, bv, /*requires_grad=*/true);
-  auto y = matmul(a, b);
-  expect_close(y.data(), naive_nn(m, k, n, av, bv), k);
-
-  sum(y).backward();  // dY = all ones
-  std::vector<float> want_da(static_cast<std::size_t>(m * k), 0.0F);
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t t = 0; t < k; ++t)
-      for (std::int64_t j = 0; j < n; ++j)
-        want_da[static_cast<std::size_t>(i * k + t)] +=
-            bv[static_cast<std::size_t>(t * n + j)];
-  std::vector<float> want_db(static_cast<std::size_t>(k * n), 0.0F);
-  for (std::int64_t t = 0; t < k; ++t)
-    for (std::int64_t j = 0; j < n; ++j)
-      for (std::int64_t i = 0; i < m; ++i)
-        want_db[static_cast<std::size_t>(t * n + j)] +=
-            av[static_cast<std::size_t>(i * k + t)];
-  expect_close(a.grad(), want_da, n);
-  expect_close(b.grad(), want_db, m);
-}
-
-TEST(NoGradGuard, SuppressesTapeConstruction) {
-  auto a = Tensor::from_data({2, 3}, random_matrix(2, 3, 13),
-                             /*requires_grad=*/true);
-  auto b = Tensor::from_data({3, 2}, random_matrix(3, 2, 14),
-                             /*requires_grad=*/true);
-  {
-    const NoGradGuard no_grad;
-    auto y = matmul(a, b);
-    EXPECT_FALSE(y.requires_grad());
-    EXPECT_TRUE(y.node()->parents.empty());
-  }
-  auto y = matmul(a, b);  // guard restored: tape records again
-  EXPECT_TRUE(y.requires_grad());
-}
-
 
 // ---- Per-element order contract ------------------------------------------
 //
