@@ -2,9 +2,13 @@
 //
 // These are the per-operation costs the cluster cost model abstracts:
 // swap Delta-E, full energy evaluation, a Wang-Landau sweep, VAE decode,
-// VAE training step and minicomm collectives.
+// VAE training step, minicomm collectives and a checkpoint's CRC and save.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <string>
+
+#include "ckpt/checkpoint.hpp"
 #include "core/deepthermo.hpp"
 #include "nn/trainer.hpp"
 #include "par/minicomm.hpp"
@@ -143,31 +147,33 @@ BENCHMARK(BM_VaeGlobalProposal)
 // The tensor-layer GEMM behind every VAE forward/backward, vs the
 // pre-blocking naive loop it replaced (see BENCH_baseline.json).
 void BM_GemmNN(benchmark::State& state) {
-  const auto d = static_cast<std::int64_t>(state.range(0));
-  std::vector<float> a(static_cast<std::size_t>(d * d), 0.5f);
-  std::vector<float> b(static_cast<std::size_t>(d * d), 0.25f);
-  std::vector<float> c(static_cast<std::size_t>(d * d));
+  const auto d = static_cast<std::size_t>(state.range(0));
+  std::vector<float> a(d * d, 0.5f);
+  std::vector<float> b(d * d, 0.25f);
+  std::vector<float> c(d * d);
   for (auto _ : state) {
     tensor::gemm_nn(d, d, d, a.data(), b.data(), c.data());
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2 * d * d * d);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * d * d * d));
 }
 BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256);
 
 void BM_GemmBackward(benchmark::State& state) {
-  const auto d = static_cast<std::int64_t>(state.range(0));
-  std::vector<float> a(static_cast<std::size_t>(d * d), 0.5f);
-  std::vector<float> dy(static_cast<std::size_t>(d * d), 0.25f);
-  std::vector<float> da(static_cast<std::size_t>(d * d), 0.0f);
-  std::vector<float> db(static_cast<std::size_t>(d * d), 0.0f);
+  const auto d = static_cast<std::size_t>(state.range(0));
+  std::vector<float> a(d * d, 0.5f);
+  std::vector<float> dy(d * d, 0.25f);
+  std::vector<float> da(d * d, 0.0f);
+  std::vector<float> db(d * d, 0.0f);
   for (auto _ : state) {
     tensor::gemm_nt_acc(d, d, d, dy.data(), a.data(), da.data());
     tensor::gemm_tn_acc(d, d, d, a.data(), dy.data(), db.data());
     benchmark::DoNotOptimize(da.data());
     benchmark::DoNotOptimize(db.data());
   }
-  state.SetItemsProcessed(state.iterations() * 4 * d * d * d);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(4 * d * d * d));
 }
 BENCHMARK(BM_GemmBackward)->Arg(256);
 
@@ -257,6 +263,46 @@ void BM_MinicommBarrier(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_MinicommBarrier)->Arg(2)->Arg(4);
+
+// The checkpoint layer at retrain2000's REWL-save shape: 29.4 MB through
+// one CRC pass, then a whole crash-consistent save (two 12.6 MB rank
+// records plus the 4.2 MB `vae.pretrained`) into a scratch directory.
+constexpr std::size_t kRankRecordBytes = 12'600'000;
+constexpr std::size_t kPretrainedBytes = 4'200'000;
+
+std::string filler(std::size_t n, char seed) {
+  std::string out(n, '\0');
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = static_cast<char>(static_cast<std::size_t>(seed) + i * 131);
+  return out;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const std::string data =
+      filler(2 * kRankRecordBytes + kPretrainedBytes, 1);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(ckpt::crc32({data.data(), data.size()}));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond);
+
+void BM_CheckpointSave(benchmark::State& state) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "dt_bench_micro_ckpt";
+  std::filesystem::remove_all(dir);
+  ckpt::CheckpointStore store(dir.string(), /*keep_last=*/1);
+  ckpt::CheckpointBuilder builder;
+  builder.add("rank0", filler(kRankRecordBytes, 2));
+  builder.add("rank1", filler(kRankRecordBytes, 3));
+  builder.add("vae.pretrained", filler(kPretrainedBytes, 4));
+  std::size_t bytes = 0;
+  for (auto _ : state) bytes = store.save(builder).bytes;
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_CheckpointSave)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

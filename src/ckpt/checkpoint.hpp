@@ -4,8 +4,10 @@
 // component records (walker states, VAE weights, optimizer moments,
 // pipeline phase, ...). Every component carries a CRC32 and the whole
 // file ends in a CRC32 trailer, so truncation or bit-rot is detected on
-// load rather than silently resumed from. Files are written
-// crash-consistently: serialize to <name>.tmp, flush, fsync, then
+// load rather than silently resumed from. Each payload byte is CRC'd
+// once per save and once per load: the trailer is combined from the
+// component CRCs, never recomputed over the file. Files are written
+// crash-consistently: stream the pieces to <name>.tmp, fsync, then
 // atomically rename into place -- a crash mid-save leaves the previous
 // generation untouched and loadable.
 //
@@ -36,6 +38,13 @@ namespace dt::ckpt {
 [[nodiscard]] std::uint32_t crc32(std::span<const char> data,
                                   std::uint32_t seed = 0);
 
+/// CRC-32 of the concatenation a + b from crc32(a), crc32(b) and the
+/// length of b, without reading either: crc32_combine(crc32(a), crc32(b),
+/// b.size()) == crc32(a + b).
+[[nodiscard]] std::uint32_t crc32_combine(std::uint32_t crc_a,
+                                          std::uint32_t crc_b,
+                                          std::uint64_t length_b);
+
 /// Accumulates named component blobs and encodes them into the on-disk
 /// manifest format (see DESIGN.md "Checkpoint manifest format").
 class CheckpointBuilder {
@@ -59,6 +68,11 @@ class CheckpointBuilder {
   [[nodiscard]] std::string encode(std::uint64_t generation) const;
 
  private:
+  friend class CheckpointStore;
+  /// The encoded file as byte ranges in file order; the one writer of the
+  /// format, behind both encode() and CheckpointStore::save.
+  class Encoding;
+
   std::vector<std::pair<std::string, std::string>> components_;
 };
 
@@ -85,7 +99,7 @@ class Checkpoint {
 struct SaveReport {
   std::uint64_t generation = 0;
   std::size_t bytes = 0;
-  double seconds = 0.0;   ///< encode + write + fsync + rename
+  double seconds = 0.0;   ///< CRC + write + fsync + rename
   std::string path;
 };
 
@@ -98,7 +112,7 @@ class CheckpointStore {
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
-  /// Write a new generation crash-consistently (tmp + fsync + rename),
+  /// Stream a new generation crash-consistently (tmp + fsync + rename),
   /// bump metrics (ckpt.saves / ckpt.bytes_total / ckpt.last_*) and emit
   /// a "checkpoint" telemetry event when telemetry is enabled.
   SaveReport save(const CheckpointBuilder& builder);

@@ -16,13 +16,15 @@ void Communicator::send_bytes(int dest, int tag,
   detail::Mailbox& mb = *ctx_->mailboxes[static_cast<std::size_t>(dest)];
   {
     MutexLock lock(mb.mutex);
-    mb.messages.push_back(
-        detail::Message{rank_, tag, {data.begin(), data.end()}});
+    mb.messages.push_back(detail::Message{
+        rank_, tag,
+        std::string(reinterpret_cast<const char*>(data.data()),
+                    data.size())});
   }
   mb.cv.notify_all();
 }
 
-std::vector<std::byte> Communicator::recv_bytes(int source, int tag) {
+std::string Communicator::recv_bytes(int source, int tag) {
   DT_CHECK_MSG(source >= 0 && source < size_,
                "recv from invalid rank " << source);
   detail::Mailbox& mb = *ctx_->mailboxes[static_cast<std::size_t>(rank_)];
@@ -36,7 +38,7 @@ std::vector<std::byte> Communicator::recv_bytes(int source, int tag) {
           return m.source == source && m.tag == tag;
         });
     if (it != mb.messages.end()) {
-      std::vector<std::byte> payload = std::move(it->payload);
+      std::string payload = std::move(it->payload);
       mb.messages.erase(it);
       return payload;
     }
@@ -44,6 +46,21 @@ std::vector<std::byte> Communicator::recv_bytes(int source, int tag) {
     // rechecked even if the matching notify was consumed elsewhere.
     mb.cv.wait_for(mb.mutex, std::chrono::milliseconds(50));
   }
+}
+
+std::vector<std::string> Communicator::gather(std::string record,
+                                              int root) {
+  std::vector<std::string> out;
+  if (rank_ == root) {
+    out.resize(static_cast<std::size_t>(size_));
+    out[static_cast<std::size_t>(root)] = std::move(record);
+    for (int r = 0; r < size_; ++r)
+      if (r != root)
+        out[static_cast<std::size_t>(r)] = recv_bytes(r, kGatherTag);
+  } else {
+    send<char>(root, kGatherTag, record);
+  }
+  return out;
 }
 
 void Communicator::barrier() {

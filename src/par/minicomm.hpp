@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -35,7 +36,7 @@ namespace detail {
 struct Message {
   int source = 0;
   int tag = 0;
-  std::vector<std::byte> payload;
+  std::string payload;
 };
 
 struct Mailbox {
@@ -67,8 +68,9 @@ class Communicator {
   // ---- point to point ----
 
   void send_bytes(int dest, int tag, std::span<const std::byte> data);
-  /// Blocks until a message from `source` with `tag` arrives.
-  std::vector<std::byte> recv_bytes(int source, int tag);
+  /// Blocks until a message from `source` with `tag` arrives; the
+  /// payload is handed over, not copied.
+  std::string recv_bytes(int source, int tag);
 
   template <class T>
   void send(int dest, int tag, std::span<const T> data) {
@@ -146,22 +148,10 @@ class Communicator {
     return all;
   }
 
-  /// Rank-ordered concatenation of variable-length buffers at `root`;
-  /// other ranks get an empty vector.
-  template <class T>
-  std::vector<std::vector<T>> gather(std::span<const T> data, int root) {
-    std::vector<std::vector<T>> out;
-    if (rank_ == root) {
-      out.resize(static_cast<std::size_t>(size_));
-      out[static_cast<std::size_t>(root)].assign(data.begin(), data.end());
-      for (int r = 0; r < size_; ++r)
-        if (r != root)
-          out[static_cast<std::size_t>(r)] = recv<T>(r, kGatherTag);
-    } else {
-      send<T>(root, kGatherTag, data);
-    }
-    return out;
-  }
+  /// Rank-ordered variable-length byte records at `root`; other ranks
+  /// get an empty vector. Each record is copied once, by the send: the
+  /// root's own and every received payload are moved into place.
+  std::vector<std::string> gather(std::string record, int root);
 
  private:
   static constexpr int kBcastTag = -1;

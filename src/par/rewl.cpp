@@ -12,6 +12,7 @@
 #include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "common/stopwatch.hpp"
+#include "common/strfmt.hpp"
 #include "common/units.hpp"
 #include "lattice/configuration.hpp"
 #include "mc/proposal.hpp"
@@ -102,7 +103,7 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
     const int rank = comm.rank();
     const int window_id = rank / wpw;
     const Window& window = windows[static_cast<std::size_t>(window_id)];
-    set_log_tag("r" + std::to_string(rank));
+    set_log_tag(strformat("r%d", rank));
     DT_SPAN("rewl.rank");
 
     // Independent streams per rank for init / sampling / exchange.
@@ -243,13 +244,19 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
               checkpoint->save_extra ? std::uint8_t{1} : std::uint8_t{0};
           write_pod(os, has_extra);
           if (has_extra != 0) {
-            std::ostringstream extra(std::ios::binary);
-            checkpoint->save_extra(rank, extra);
-            write_string(os, std::move(extra).str());
+            // write_string's layout, streamed in place: a u64 length
+            // prefix, patched once the extra state is written behind it.
+            const std::streampos prefix = os.tellp();
+            write_pod<std::uint64_t>(os, 0);
+            checkpoint->save_extra(rank, os);
+            const std::streampos end = os.tellp();
+            os.seekp(prefix);
+            write_pod(os, static_cast<std::uint64_t>(end - prefix) -
+                              sizeof(std::uint64_t));
+            os.seekp(end);
           }
-          const std::string record = std::move(os).str();
-          const auto blobs = comm.gather<char>(
-              std::span<const char>(record.data(), record.size()), 0);
+          std::vector<std::string> records =
+              comm.gather(std::move(os).str(), 0);
           if (rank == 0) {
             ckpt::CheckpointBuilder builder;
             builder.component("rewl.meta", [&](std::ostream& ms) {
@@ -258,11 +265,9 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
               write_pod(ms, grid.n_bins());
               write_pod(ms, round);
             });
-            for (int r = 0; r < options.total_ranks(); ++r) {
-              const auto& blob = blobs[static_cast<std::size_t>(r)];
+            for (int r = 0; r < options.total_ranks(); ++r)
               builder.add(rank_component(r),
-                          std::string(blob.begin(), blob.end()));
-            }
+                          std::move(records[static_cast<std::size_t>(r)]));
             if (checkpoint->add_components)
               checkpoint->add_components(builder);
             const ckpt::SaveReport saved = checkpoint->store->save(builder);

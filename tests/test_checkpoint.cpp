@@ -76,8 +76,9 @@ TEST(Checkpoint, ResumedRunIsBitExact) {
   EXPECT_EQ(wl_ref.log_f(), wl_b.log_f());
   for (std::int32_t b = 0; b < setup.grid.n_bins(); ++b) {
     ASSERT_EQ(wl_ref.dos().visited(b), wl_b.dos().visited(b)) << "bin " << b;
-    if (wl_ref.dos().visited(b))
+    if (wl_ref.dos().visited(b)) {
       ASSERT_EQ(wl_ref.dos().log_g(b), wl_b.dos().log_g(b)) << "bin " << b;
+    }
   }
   EXPECT_TRUE(wl_ref.configuration() == wl_b.configuration());
 }

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -45,6 +47,37 @@ void write_file(const fs::path& p, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Byte-at-a-time CRC-32 straight from the polynomial: the reference the
+/// library's table-driven crc32 must reproduce.
+std::uint32_t crc32_bytewise(std::span<const char> data,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (const char byte : data) {
+    c ^= static_cast<std::uint8_t>(byte);
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// `n` deterministic pseudo-random bytes.
+std::string noise(std::size_t n, std::uint64_t seed) {
+  std::string out(n, '\0');
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::uint64_t word = splitmix64(seed);
+    for (std::size_t k = 0; k < 8 && i + k < n; ++k)
+      out[i + k] = static_cast<char>((word >> (8 * k)) & 0xFFu);
+  }
+  return out;
+}
+
 TEST(Crc32, MatchesKnownVector) {
   // The IEEE 802.3 check value for "123456789".
   const std::string data = "123456789";
@@ -58,6 +91,43 @@ TEST(Crc32, SeedChainsIncrementally) {
   const auto chained =
       crc32({b.data(), b.size()}, crc32({a.data(), a.size()}));
   EXPECT_EQ(whole, chained);
+}
+
+TEST(Crc32, MatchesBytewiseReference) {
+  // Every short length at every alignment, so each tail and head path of
+  // the sliced loop is hit, with a random chaining seed each time.
+  const std::string buf = noise(64 + 8, 1);
+  std::uint64_t seeds = 99;
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const char> piece(buf.data() + off, len);
+      const auto seed = static_cast<std::uint32_t>(splitmix64(seeds));
+      EXPECT_EQ(crc32(piece, seed), crc32_bytewise(piece, seed))
+          << "offset " << off << " length " << len;
+    }
+  }
+  const std::string big = noise(std::size_t{1} << 20, 2);
+  EXPECT_EQ(crc32({big.data(), big.size()}),
+            crc32_bytewise({big.data(), big.size()}));
+}
+
+TEST(Crc32, CombineMatchesConcatenation) {
+  const std::string data = noise(4099, 3);
+  const std::uint32_t whole = crc32({data.data(), data.size()});
+  for (const std::size_t cut :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+        std::size_t{64}, std::size_t{2048}, std::size_t{4098},
+        std::size_t{4099}}) {
+    const std::span<const char> a(data.data(), cut);
+    const std::span<const char> b(data.data() + cut, data.size() - cut);
+    EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), whole)
+        << "cut at " << cut;
+  }
+  // Empty parts on either side, and two empties.
+  const std::uint32_t empty = crc32({});
+  EXPECT_EQ(crc32_combine(whole, empty, 0), whole);
+  EXPECT_EQ(crc32_combine(empty, whole, data.size()), whole);
+  EXPECT_EQ(crc32_combine(empty, empty, 0), empty);
 }
 
 TEST(Checkpoint, EncodeDecodeRoundTripsComponents) {
@@ -166,6 +236,29 @@ TEST(CheckpointStore, NoTempFileSurvivesASave) {
   store.save(builder);
   for (const auto& entry : fs::directory_iterator(dir.path))
     EXPECT_EQ(entry.path().extension(), ".dtc") << entry.path();
+}
+
+TEST(CheckpointStore, SavedFileBytesArePinned) {
+  // A fixed builder -- a multi-MB payload, an empty component, odd sizes
+  // -- saved through the store. Size and CRC were recorded from the
+  // original whole-image save path; the file format must not drift.
+  CheckpointBuilder builder;
+  builder.add("rank0", noise(3 * 1024 * 1024 + 5, 11));
+  builder.add("empty", std::string());
+  builder.add("odd", noise(12345, 12));
+  builder.add("x", noise(1, 13));
+  builder.component("meta", [](std::ostream& os) {
+    write_pod<std::int64_t>(os, 42);
+    write_string(os, "seven");
+  });
+  TempDir dir("ckpt_pinned");
+  CheckpointStore store(dir.str());
+  const SaveReport report = store.save(builder);
+  const std::string bytes = read_file(report.path);
+  EXPECT_EQ(report.bytes, bytes.size());
+  EXPECT_EQ(bytes.size(), std::size_t{3158246});
+  EXPECT_EQ(crc32_bytewise({bytes.data(), bytes.size()}), 0x2144DF1Cu);
+  EXPECT_EQ(builder.encode(report.generation), bytes);
 }
 
 TEST(CheckpointStore, CorruptNewestFallsBackToPreviousGeneration) {

@@ -79,7 +79,7 @@ TEST(ConditionalVae, TrainingLearnsConditionDependence) {
   nn::ConfigDataset ds(16, 64, 1);
   Xoshiro256ss rng(6);
   for (int k = 0; k < 32; ++k) {
-    const std::uint8_t species = k % 2;
+    const auto species = static_cast<std::uint8_t>(k % 2);
     std::vector<std::uint8_t> occ(16, species);
     // A little noise so the dataset is not degenerate.
     occ[static_cast<std::size_t>(k) % 16] =
@@ -95,8 +95,9 @@ TEST(ConditionalVae, TrainingLearnsConditionDependence) {
   const auto p1 = vae.decode_probs(z, std::span<const float>(&c1, 1));
   double mean0 = 0, mean1 = 0;
   for (int site = 0; site < 16; ++site) {
-    mean0 += p0[static_cast<std::size_t>(2 * site)];      // P(species 0)
-    mean1 += p1[static_cast<std::size_t>(2 * site)];
+    // P(species 0)
+    mean0 += static_cast<double>(p0[static_cast<std::size_t>(2 * site)]);
+    mean1 += static_cast<double>(p1[static_cast<std::size_t>(2 * site)]);
   }
   mean0 /= 16;
   mean1 /= 16;

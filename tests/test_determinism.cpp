@@ -133,8 +133,9 @@ TEST(Determinism, DosSerializationStaysRawDoubleAfterTypedRefactor) {
   const auto back = mc::DensityOfStates::load(is);
   for (std::int32_t b = 0; b < grid.n_bins(); ++b) {
     ASSERT_EQ(back.visited(b), dos.visited(b)) << "bin " << b;
-    if (dos.visited(b))
+    if (dos.visited(b)) {
       EXPECT_EQ(back.log_g(b).value(), dos.log_g(b).value()) << "bin " << b;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -114,14 +115,14 @@ TEST(Minicomm, Allgather) {
 
 TEST(Minicomm, GatherVariableLength) {
   run_ranks(3, [](Communicator& comm) {
-    std::vector<int> mine(static_cast<std::size_t>(comm.rank() + 1),
-                          comm.rank());
-    const auto all = comm.gather<int>(mine, 0);
+    std::string mine(static_cast<std::size_t>(comm.rank() + 1),
+                     static_cast<char>('a' + comm.rank()));
+    const auto all = comm.gather(mine, 0);
     if (comm.rank() == 0) {
       ASSERT_EQ(all.size(), 3u);
-      EXPECT_EQ(all[0], (std::vector<int>{0}));
-      EXPECT_EQ(all[1], (std::vector<int>{1, 1}));
-      EXPECT_EQ(all[2], (std::vector<int>{2, 2, 2}));
+      EXPECT_EQ(all[0], "a");
+      EXPECT_EQ(all[1], "bb");
+      EXPECT_EQ(all[2], "ccc");
     } else {
       EXPECT_TRUE(all.empty());
     }

@@ -56,8 +56,10 @@ TEST(ExactOracle, MatchesIndependentBitmaskEnumeration) {
     const double e = static_cast<double>(k) / 4.0;
     EXPECT_NEAR(oracle.log_g_at(units::Energy(e)).value(), std::log(count), 1e-12) << "E=" << e;
   }
-  EXPECT_DOUBLE_EQ(oracle.e_min(), ref.begin()->first / 4.0);
-  EXPECT_DOUBLE_EQ(oracle.e_max(), ref.rbegin()->first / 4.0);
+  EXPECT_DOUBLE_EQ(oracle.e_min(),
+                   static_cast<double>(ref.begin()->first) / 4.0);
+  EXPECT_DOUBLE_EQ(oracle.e_max(),
+                   static_cast<double>(ref.rbegin()->first) / 4.0);
   EXPECT_TRUE(
       std::isinf(oracle.log_g_at(units::Energy(oracle.e_min() - 1.0)).value()));
 }
