@@ -118,10 +118,11 @@ BENCHMARK(BM_VaeDecodeBatch)
     ->Args({10, 16})
     ->Args({10, 32});
 
-// Full VAE global move: decode (amortised over the decode-ahead batch,
-// range(1)) + constrained sequential sampling with the reverse density
-// and the candidate's pair counts fused in + the energy of those counts.
-// {4, *} is the unit-test scale, {10, *} is N = 2000.
+// Full VAE global move: decode and the lane-parallel sampling of the
+// candidates with their pair counts (both amortised over the
+// decode-ahead batch, range(1)) + the reverse density and the install.
+// {3, 16} is tts54's N = 54, {4, *} the unit-test scale, {10, *} is
+// N = 2000.
 void BM_VaeGlobalProposal(benchmark::State& state) {
   System sys(static_cast<int>(state.range(0)));
   auto vae = bench_vae(sys, 64, 16);
@@ -138,6 +139,7 @@ void BM_VaeGlobalProposal(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_VaeGlobalProposal)
+    ->Args({3, 16})
     ->Args({4, 1})
     ->Args({10, 1})
     ->Args({10, 8})

@@ -53,11 +53,6 @@ Philox4x32::Philox4x32(std::uint64_t seed, std::uint64_t stream) {
 
 std::array<std::uint32_t, 4> Philox4x32::block(std::uint64_t ctr_lo,
                                                std::uint64_t ctr_hi) const {
-  constexpr std::uint32_t kMul0 = 0xD2511F53u;
-  constexpr std::uint32_t kMul1 = 0xCD9E8D57u;
-  constexpr std::uint32_t kWeyl0 = 0x9E3779B9u;
-  constexpr std::uint32_t kWeyl1 = 0xBB67AE85u;
-
   std::array<std::uint32_t, 4> ctr = {
       static_cast<std::uint32_t>(ctr_lo),
       static_cast<std::uint32_t>(ctr_lo >> 32),
@@ -65,7 +60,7 @@ std::array<std::uint32_t, 4> Philox4x32::block(std::uint64_t ctr_lo,
       static_cast<std::uint32_t>(ctr_hi >> 32)};
   std::array<std::uint32_t, 2> key = key_;
 
-  for (int round = 0; round < 10; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     const std::uint64_t p0 = static_cast<std::uint64_t>(kMul0) * ctr[0];
     const std::uint64_t p1 = static_cast<std::uint64_t>(kMul1) * ctr[2];
     const std::array<std::uint32_t, 4> next = {

@@ -114,6 +114,13 @@ class Philox4x32 {
   std::array<std::uint32_t, 4> block(std::uint64_t ctr_lo,
                                      std::uint64_t ctr_hi) const;
 
+  /// Round multipliers and key schedule increments of block().
+  static constexpr std::uint32_t kMul0 = 0xD2511F53u;
+  static constexpr std::uint32_t kMul1 = 0xCD9E8D57u;
+  static constexpr std::uint32_t kWeyl0 = 0x9E3779B9u;
+  static constexpr std::uint32_t kWeyl1 = 0xBB67AE85u;
+  static constexpr int kRounds = 10;
+
  private:
   std::array<std::uint32_t, 2> key_{};
   std::uint64_t counter_ = 0;       // block index

@@ -70,7 +70,7 @@ mc::DensityOfStates read_dos(std::istream& is) {
 
 void write_rewl_result(std::ostream& os, const par::RewlResult& r) {
   write_dos(os, r.dos);
-  write_vector(os, r.windows);
+  par::write_window_reports(os, r.windows);
   write_pod<std::uint8_t>(os, r.converged ? 1 : 0);
   write_pod(os, r.total_sweeps);
   write_pod(os, r.wall_seconds);

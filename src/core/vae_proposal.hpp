@@ -20,38 +20,50 @@
 // Vae::decode_probs), so q(x|z) > 0 everywhere: the kernel is irreducible
 // on the fixed-composition slice and the log-ratio is bounded.
 //
-// Decode-ahead fast path (RNG stream discipline)
-// ----------------------------------------------
-// Decoding one latent at a time pays a batch-1 GEMM per proposal; this
-// kernel instead batch-decodes K latents into a buffer and serves them
-// one proposal at a time. So that the buffer is pure CACHE -- no
-// behavioural state -- the latent draws do NOT come from the walker's
-// physics stream:
+// Decode-ahead, sample-ahead fast path (RNG stream discipline)
+// -----------------------------------------------------------
+// Decoding one latent at a time pays a batch-1 GEMM per proposal, and
+// sampling one candidate at a time pays the serial constrained-sampling
+// chain (site i's pick updates the budgets site i+1's weights read) once
+// per proposal. This kernel instead decodes K latents into a buffer in
+// one GEMM and then draws all K candidates together, 16 to a pass, one
+// proposal chain per SIMD lane. So that the buffer is pure CACHE -- no
+// behavioural state -- a candidate is a pure function of its proposal
+// ordinal t, and three Philox streams split the randomness:
 //
-//  * The physics stream (the `rng` passed to propose()) supplies ONLY
-//    the n per-site uniforms of the constrained sequential sampling.
-//    Its draw order is identical for every decode batch size.
-//  * Latents come from a dedicated Philox stream whose key is derived
-//    from the physics stream's key (fixed XOR tag, so it is distinct
-//    from every physics/exchange stream yet needs no extra wiring), and
-//    whose counter is a pure function of the proposal ordinal: proposal
-//    t consumes exactly the draws [t*4*latent, (t+1)*4*latent) (normal01
-//    on a 32-bit generator consumes 4 draws). z_t therefore depends only
-//    on t, never on K.
+//  * Latents: a stream keyed by the physics key XOR fixed tags; ordinal
+//    t reads the draws [t*4*latent, (t+1)*4*latent) (normal01 on a
+//    32-bit generator consumes 4 draws).
+//  * Sampling uniforms: a second derived stream (other fixed tags);
+//    ordinal t reads the 2n draws from t*W, site i words 2i and 2i+1,
+//    where W = 2n rounded up to whole 4-word Philox blocks (W = 2n for
+//    every even n, so the windows are [t*2n, (t+1)*2n)).
+//  * Physics: the walker's own stream (the `rng` passed to propose()).
+//    This kernel reads only its key; its draws feed local moves and
+//    acceptance alone.
 //
-// Consequences, both pinned in test_vae_proposal:
-//  * Proposal sequences are bitwise identical for any decode batch size.
+// The derived keys need no extra wiring and are distinct from every
+// physics/exchange stream. Candidate t then depends only on (t, the
+// decoder weights, the condition, the composition): the buffer's cache
+// key. A weight refresh, a condition change or a new composition
+// invalidates it; nothing else does. Consequences, pinned in
+// test_vae_proposal and test_decode_plane:
+//  * Proposal sequences are bitwise identical for any decode batch size,
+//    with or without the decode plane.
 //  * The only persistent fast-path state is the served-proposal ordinal
 //    `served_`; save_state/load_state round-trip it (plus the stats) and
 //    a resumed walker regenerates the buffer on demand, bit-exactly.
 //
-// z stays independent of the chain state, so the MH argument above is
-// untouched. The candidate is priced inside the sampling pass: as each
-// site's species is picked, a lattice::PairCounter counts its bonds to
-// the sites already picked, and EpiHamiltonian::energy_from_counts --
-// the same combine step total_energy uses -- turns the counts into the
-// candidate's energy. Every audit_interval proposals that energy must
-// equal total_energy of the assigned candidate bit for bit.
+// z and the uniforms stay independent of the chain state, so the MH
+// argument above is untouched. Each candidate is priced inside the
+// sampling pass: as a lane picks site i's species, its bonds to the
+// sites already picked are counted (byte compares against the
+// lane-major candidates, flushed to wide totals), and
+// EpiHamiltonian::energy_from_counts -- the combine step total_energy
+// uses -- turns a lane's counts into its energy. Every audit_interval
+// proposals that energy must equal total_energy of the assigned
+// candidate bit for bit. propose() keeps only the state-dependent work:
+// the reverse density of the current state, the install and the audit.
 #pragma once
 
 #include <array>
@@ -93,9 +105,13 @@ struct VaeWorkCounts {
 
 class VaeProposal final : public mc::Proposal {
  public:
+  /// Proposal chains sampled together, one per SIMD lane: the sampler
+  /// runs one pass per kLanes buffered proposals (or part thereof).
+  static constexpr std::size_t kLanes = 16;
   /// Decode-ahead depth: latents decoded per VAE forward pass. 16 keeps
   /// the decoder weight streaming amortised (the buffer is K * n_sites *
-  /// n_species floats per walker -- ~0.5 MB at paper scale).
+  /// n_species floats per walker -- ~0.5 MB at paper scale) and fills
+  /// every sampling lane.
   static constexpr std::int32_t kDefaultDecodeBatch = 16;
   /// Default audit cadence (proposals between fused-vs-total energy
   /// checks); denser in debug builds where the audit cost is acceptable.
@@ -162,7 +178,9 @@ class VaeProposal final : public mc::Proposal {
 
   /// Decode-ahead depth K (>= 1; 1 recovers per-proposal decoding).
   /// Changing K never changes the proposal sequence -- see the stream
-  /// discipline above. Invalidates the current buffer.
+  /// discipline above. A sampling pass costs the same for any number of
+  /// its kLanes slots in use, so K below a multiple of kLanes pays for
+  /// idle lanes. Invalidates the current buffer.
   void set_decode_batch(std::int32_t k);
   [[nodiscard]] std::int32_t decode_batch() const { return decode_batch_; }
 
@@ -200,16 +218,30 @@ class VaeProposal final : public mc::Proposal {
       std::span<const float> probs, std::span<const std::uint8_t> occupancy,
       int n_species);
 
+  /// Key of the sampling-uniform stream derived from a walker's physics
+  /// key (see the stream discipline above). Exposed for tests.
+  static std::array<std::uint32_t, 2> sampling_key(
+      const std::array<std::uint32_t, 2>& physics_key);
+
  private:
   /// Decode the next K latents (ordinals served_ .. served_+K-1) into
-  /// probs_buffer_. `physics_key` seeds the derived latent stream.
+  /// the active probability buffer. `physics_key` seeds the derived
+  /// latent stream. Marks the sampled candidates stale.
   void refill(const std::array<std::uint32_t, 2>& physics_key);
 
-  /// sequential_log_density against caller-provided scratch (the static
-  /// public overload allocates; the hot path must not).
-  static units::LogWeight sequential_log_density_scratch(
-      std::span<const float> probs, std::span<const std::uint8_t> occupancy,
-      int n_species, std::vector<double>& remaining);
+  /// Draw the candidate, forward log q and energy of every slot of the
+  /// active buffer under `composition`, kLanes slots per pass.
+  void sample_ahead(const lattice::Lattice& lat,
+                    std::span<const std::int32_t> composition,
+                    const std::array<std::uint32_t, 2>& physics_key);
+  /// One pass: the slots [group * kLanes, (group + 1) * kLanes). kS is
+  /// the species count, or 0 to read it at run time.
+  template <int kS>
+  void sample_group(const lattice::Lattice& lat, std::size_t group,
+                    const std::array<std::uint32_t, 2>& key);
+
+  /// Size the sample-ahead scratch for the decode batch.
+  void size_lanes();
 
   const lattice::EpiHamiltonian* hamiltonian_;
   std::shared_ptr<nn::Vae> vae_;
@@ -238,9 +270,18 @@ class VaeProposal final : public mc::Proposal {
   double decode_wait_seconds_ = 0.0;
   std::uint64_t decode_waits_ = 0;
 
-  // Hot-path scratch, hoisted out of propose().
-  std::vector<std::uint32_t> uniform_words_;  // 2n physics-stream draws
-  std::vector<double> remaining_;     // species budget (n_species)
+  // Sampled candidates (cache, like the probabilities): one pass per
+  // kLanes slots. Valid while sampled_composition_ equals the state's.
+  std::vector<std::uint8_t> lanes_;        // [group][site][lane] species
+  std::vector<double> lane_energy_;        // per slot
+  std::vector<double> lane_log_q_;         // per slot: forward log q
+  std::vector<std::int32_t> sampled_composition_;  // empty == stale
+
+  // Sample-ahead and propose() scratch, sized once.
+  std::vector<double> uniforms_;      // [chunk site][lane]
+  std::vector<std::uint8_t> pair8_;   // [shell][a][b][lane] byte counts
+  std::vector<std::uint32_t> pair32_; // [shell][a][b][lane] totals
+  std::vector<std::uint64_t> lane_counts_;  // one lane's [shell][a][b]
   std::vector<std::uint8_t> candidate_;
 
   std::uint64_t audit_interval_ = kDefaultAuditInterval;

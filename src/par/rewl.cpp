@@ -2,9 +2,12 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <sstream>
 
 #include "ckpt/fault.hpp"
@@ -526,6 +529,32 @@ RewlResult run_rewl(const lattice::EpiHamiltonian& hamiltonian,
 
   result.wall_seconds = wall.seconds();
   return result;
+}
+
+void write_window_reports(std::ostream& os,
+                          std::span<const RewlWindowReport> windows) {
+  using R = RewlWindowReport;
+  std::vector<char> bytes(windows.size() * sizeof(R), 0);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    char* rec = &bytes[i * sizeof(R)];
+    const R& w = windows[i];
+    const auto put = [rec](std::size_t offset, const auto& field) {
+      std::memcpy(rec + offset, &field, sizeof field);
+    };
+    put(offsetof(R, window), w.window);
+    put(offsetof(R, lo_bin), w.lo_bin);
+    put(offsetof(R, hi_bin), w.hi_bin);
+    put(offsetof(R, sweeps), w.sweeps);
+    put(offsetof(R, f_stages), w.f_stages);
+    put(offsetof(R, acceptance), w.acceptance);
+    put(offsetof(R, flatness), w.flatness);
+    put(offsetof(R, round_trips), w.round_trips);
+    put(offsetof(R, exchange_acceptance), w.exchange_acceptance);
+    put(offsetof(R, converged), w.converged);
+  }
+  write_pod<std::uint64_t>(os, windows.size());
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  DT_CHECK_MSG(os.good(), "serialize: write failed");
 }
 
 }  // namespace dt::par

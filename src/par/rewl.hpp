@@ -18,7 +18,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <memory>
+#include <span>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/signal.hpp"
@@ -55,6 +57,8 @@ struct RewlOptions {
   }
 };
 
+/// Checkpointed as raw records (read_vector); write_window_reports
+/// copies each field, so a new field must be added there too.
 struct RewlWindowReport {
   int window = 0;
   std::int32_t lo_bin = 0;
@@ -70,6 +74,12 @@ struct RewlWindowReport {
   double exchange_acceptance = 0.0;
   bool converged = false;
 };
+
+/// Write `windows` as read_vector<RewlWindowReport> reads them back:
+/// the in-memory record layout, with the padding between fields zeroed,
+/// so equal reports always serialize to equal bytes.
+void write_window_reports(std::ostream& os,
+                          std::span<const RewlWindowReport> windows);
 
 struct RewlResult {
   mc::DensityOfStates dos;       ///< stitched global ln g (unnormalised)

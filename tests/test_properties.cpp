@@ -3,7 +3,7 @@
 // so each instantiation explores a different random instance.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -148,16 +148,19 @@ TEST_P(SeedSweep, SequentialDensityNormalises) {
   const int n = 6, s = 2;
   std::vector<float> probs(static_cast<std::size_t>(n * s));
   for (auto& p : probs) p = 0.05f + static_cast<float>(uniform01(rng));
-  // Random composition of 6 sites over 2 species (1..5 of species 0).
-  const auto k = 1 + uniform_index(rng, 5);
-  std::vector<std::uint8_t> occ(n, 1);
-  for (std::uint64_t i = 0; i < k; ++i) occ[i] = 0;
-  std::sort(occ.begin(), occ.end());
+  // Random composition of 6 sites over 2 species (1..5 of species 0);
+  // every arrangement is a mask with that many zero bits.
+  const auto k = static_cast<int>(1 + uniform_index(rng, 5));
+  std::vector<std::uint8_t> occ(n);
   double total = 0;
-  do {
+  for (unsigned mask = 0; mask < (1u << n); ++mask) {
+    if (std::popcount(mask) != n - k) continue;
+    for (int i = 0; i < n; ++i)
+      occ[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>((mask >> static_cast<unsigned>(i)) & 1u);
     total += std::exp(
         core::VaeProposal::sequential_log_density(probs, occ, s).value());
-  } while (std::next_permutation(occ.begin(), occ.end()));
+  }
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 

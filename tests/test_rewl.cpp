@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "mc/proposal.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
@@ -124,6 +127,50 @@ TEST(Rewl, WindowReportsArePopulated) {
   EXPECT_GT(result.windows[0].exchange_acceptance, 0.0);
   EXPECT_GT(result.total_sweeps, 0);
   EXPECT_GT(result.wall_seconds, 0.0);
+}
+
+TEST(Rewl, WindowReportBytesCarryNoPadding) {
+  // Equal reports built over memory filled with 0xAA and with 0x55 --
+  // the padding between fields keeps the fill -- serialize to identical
+  // bytes, which read back field for field as raw records.
+  const auto serialize = [](unsigned char fill) {
+    std::vector<RewlWindowReport> w(2);
+    std::memset(static_cast<void*>(w.data()), fill,
+                w.size() * sizeof(RewlWindowReport));
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i].window = static_cast<int>(i);
+      w[i].lo_bin = 3 + static_cast<std::int32_t>(i);
+      w[i].hi_bin = 40;
+      w[i].sweeps = 1000 + static_cast<std::int64_t>(i);
+      w[i].f_stages = 7;
+      w[i].acceptance = 0.25;
+      w[i].flatness = 0.875;
+      w[i].round_trips = 12;
+      w[i].exchange_acceptance = 0.5;
+      w[i].converged = i == 0;
+    }
+    std::ostringstream os;
+    write_window_reports(os, w);
+    return os.str();
+  };
+  const std::string a = serialize(0xAA);
+  EXPECT_EQ(a, serialize(0x55));
+
+  std::istringstream is(a);
+  const auto back = read_vector<RewlWindowReport>(is);
+  ASSERT_EQ(back.size(), 2u);
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(back[i].window, static_cast<int>(i));
+    EXPECT_EQ(back[i].lo_bin, 3 + static_cast<std::int32_t>(i));
+    EXPECT_EQ(back[i].hi_bin, 40);
+    EXPECT_EQ(back[i].sweeps, 1000 + static_cast<std::int64_t>(i));
+    EXPECT_EQ(back[i].f_stages, 7);
+    EXPECT_EQ(back[i].acceptance, 0.25);
+    EXPECT_EQ(back[i].flatness, 0.875);
+    EXPECT_EQ(back[i].round_trips, 12u);
+    EXPECT_EQ(back[i].exchange_acceptance, 0.5);
+    EXPECT_EQ(back[i].converged, i == 0);
+  }
 }
 
 TEST(Rewl, HookIsCalledEveryInterval) {

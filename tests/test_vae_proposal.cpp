@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <map>
@@ -30,6 +29,36 @@ std::shared_ptr<nn::Vae> make_vae(std::int32_t n_sites, int n_species,
   return std::make_shared<nn::Vae>(o, seed);
 }
 
+/// Sum of exp(sequential_log_density) over every arrangement of the
+/// species counts `counts` across the sites of `probs`.
+double total_density(const std::vector<float>& probs,
+                     std::vector<std::int32_t> counts) {
+  const int s = static_cast<int>(counts.size());
+  std::size_t n = 0;
+  for (const std::int32_t c : counts) n += static_cast<std::size_t>(c);
+  std::vector<std::uint8_t> occ(n);
+  double total = 0.0;
+  // Depth-first over the sites: each site takes any species with count
+  // left, so every distinct arrangement is visited exactly once.
+  const auto place = [&](const auto& self, std::size_t site) -> void {
+    if (site == n) {
+      total += std::exp(
+          VaeProposal::sequential_log_density(probs, occ, s).value());
+      return;
+    }
+    for (int k = 0; k < s; ++k) {
+      auto& left = counts[static_cast<std::size_t>(k)];
+      if (left == 0) continue;
+      --left;
+      occ[site] = static_cast<std::uint8_t>(k);
+      self(self, site + 1);
+      ++left;
+    }
+  };
+  place(place, 0);
+  return total;
+}
+
 TEST(SequentialDensity, NormalizesOverAllArrangements) {
   // 4 sites, composition {2,2}: 6 arrangements. The constrained
   // sequential process must define a proper distribution: the densities
@@ -44,15 +73,7 @@ TEST(SequentialDensity, NormalizesOverAllArrangements) {
     probs[static_cast<std::size_t>(2 * site)] /= s;
     probs[static_cast<std::size_t>(2 * site + 1)] /= s;
   }
-
-  std::vector<std::uint8_t> occ = {0, 0, 1, 1};
-  std::sort(occ.begin(), occ.end());
-  double total = 0;
-  do {
-    total += std::exp(
-        VaeProposal::sequential_log_density(probs, occ, 2).value());
-  } while (std::next_permutation(occ.begin(), occ.end()));
-  EXPECT_NEAR(total, 1.0, 1e-9);
+  EXPECT_NEAR(total_density(probs, {2, 2}), 1.0, 1e-9);
 }
 
 TEST(SequentialDensity, ThreeSpeciesNormalizes) {
@@ -60,13 +81,17 @@ TEST(SequentialDensity, ThreeSpeciesNormalizes) {
   const int n = 6, s = 3;
   std::vector<float> probs(static_cast<std::size_t>(n * s));
   for (auto& p : probs) p = 0.1f + static_cast<float>(uniform01(rng));
-  std::vector<std::uint8_t> occ = {0, 0, 1, 1, 2, 2};
-  double total = 0;
-  do {
-    total += std::exp(
-        VaeProposal::sequential_log_density(probs, occ, s).value());
-  } while (std::next_permutation(occ.begin(), occ.end()));
-  EXPECT_NEAR(total, 1.0, 1e-9);
+  EXPECT_NEAR(total_density(probs, {2, 2, 2}), 1.0, 1e-9);
+}
+
+TEST(SequentialDensity, FourSpeciesNormalizes) {
+  // The quaternary instantiation, at the dilute composition of the
+  // quaternary balance audit.
+  Xoshiro256ss rng(3);
+  const int n = 6, s = 4;
+  std::vector<float> probs(static_cast<std::size_t>(n * s));
+  for (auto& p : probs) p = 0.1f + static_cast<float>(uniform01(rng));
+  EXPECT_NEAR(total_density(probs, {3, 1, 1, 1}), 1.0, 1e-9);
 }
 
 TEST(SequentialDensity, UniformProbsGiveUniformArrangements) {
@@ -187,6 +212,11 @@ TEST(VaeProposal, RejectsMismatchedGeometry) {
   mc::Rng rng(11, 0);
   auto cfg = lattice::random_configuration(lat, 2, rng);
   EXPECT_THROW((void)prop.propose(cfg, units::Energy(0.0), rng), dt::Error);
+
+  // Two coupling shells on a lattice that resolves one.
+  const auto two_shells = lattice::epi_ising(1.0, 2);
+  VaeProposal deep(two_shells, make_vae(lat.num_sites(), 2, 10));
+  EXPECT_THROW((void)deep.propose(cfg, units::Energy(0.0), rng), dt::Error);
 }
 
 // ---- decode-ahead fast path: RNG stream discipline ----
@@ -222,24 +252,26 @@ Trajectory run_trajectory(VaeProposal& prop,
 }
 
 TEST(VaeProposalFastPath, DecodeBatchNeverChangesTheTrajectory) {
-  // The core stream-discipline guarantee: latents ride a derived stream
-  // indexed by the proposal ordinal and the physics stream supplies only
-  // the sampling uniforms, so K = 1, 3, 8 give bitwise-identical
-  // trajectories AND physics-stream positions.
+  // The core stream-discipline guarantee: latents and sampling uniforms
+  // ride derived streams indexed by the proposal ordinal, so every K --
+  // below, at and past one pass of sampling lanes -- gives bitwise-
+  // identical trajectories, and the physics stream is never drawn.
   const auto lat = Lattice::create(LatticeType::kBCC, 2, 2, 2, 1);
   const auto ham = lattice::random_epi(4, 1, 0.1, 21);
   auto vae = make_vae(lat.num_sites(), 4, 77);
 
   std::vector<Trajectory> runs;
-  for (const std::int32_t k : {1, 3, 8}) {
+  for (const std::int32_t k : {1, 3, 8, 16, 17}) {
     VaeProposal prop(ham, vae);
     prop.set_decode_batch(k);
     mc::Rng rng(11, 0);
     auto cfg = lattice::random_configuration(lat, 4, rng);
-    runs.push_back(run_trajectory(prop, ham, 20, rng, cfg));
+    const std::uint64_t start = rng.position();
+    runs.push_back(run_trajectory(prop, ham, 40, rng, cfg));
+    EXPECT_EQ(rng.position(), start) << "K=" << k;
   }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_EQ(runs[0], runs[2]);
+  for (std::size_t r = 1; r < runs.size(); ++r)
+    EXPECT_EQ(runs[0], runs[r]) << "run " << r;
 }
 
 TEST(VaeProposalFastPath, InvalidateClearsLastProbsAndIsTrajectoryNeutral) {
@@ -324,16 +356,19 @@ TEST(VaeProposalFastPath, SaveLoadResumesBitExact) {
       run_trajectory(resumed, ham, kTail, resumed_rng, resumed_cfg);
   EXPECT_EQ(got, want);
 
-  // Sanity: the runs above really consumed physics draws past the seed.
-  EXPECT_GT(rng.position(), seed_pos);
+  // Sanity: the resumed kernel really served the tail, and VAE moves
+  // left the physics stream where the configuration draw left it.
+  EXPECT_EQ(resumed.served(), static_cast<std::uint64_t>(kHead + kTail));
+  EXPECT_EQ(rng.position(), seed_pos);
+  EXPECT_EQ(resumed_rng.position(), seed_pos);
   EXPECT_FALSE(seed_occ.empty());
 }
 
 /// FNV-1a digests of `steps` proposals (odd ones reverted, so the saved
-/// state varies): `chain` over the candidate occupancies and the
-/// physics-stream position, `log_q` over the log_q_ratio bits. The
-/// energy is deliberately left out: it may move in the last ulps when
-/// the energy path changes, the sampled chain may not.
+/// state varies): `chain` over the candidate occupancies and the served
+/// ordinal, `log_q` over the log_q_ratio bits. The energy is
+/// deliberately left out: it may move in the last ulps when the energy
+/// path changes, the sampled chain may not.
 struct SamplingDigest {
   std::uint64_t chain = 0xcbf29ce484222325ULL;
   std::uint64_t log_q = 0xcbf29ce484222325ULL;
@@ -360,7 +395,7 @@ SamplingDigest sampling_digest(int n_species, std::uint64_t ham_seed,
   for (int i = 0; i < steps; ++i) {
     const auto r = prop.propose(cfg, units::Energy(energy), rng);
     for (const std::uint8_t sp : cfg.occupancy()) fnv1a(d.chain, sp);
-    fnv1a(d.chain, rng.position());
+    fnv1a(d.chain, prop.served());
     fnv1a(d.log_q, std::bit_cast<std::uint64_t>(r.log_q_ratio.value()));
     if (i % 2 == 1) {
       prop.revert(cfg);
@@ -372,29 +407,164 @@ SamplingDigest sampling_digest(int n_species, std::uint64_t ham_seed,
 }
 
 TEST(VaeProposalFastPath, SamplingMatchesGoldenHash) {
-  // The candidates, physics-stream draws and log_q_ratio of s = 4 (the
-  // quaternary loop) and s = 3 (the generic loop) are pinned bit for
-  // bit: a change to the energy path must leave the sampling untouched.
+  // The candidates, ordinals and log_q_ratio of s = 4 (the quaternary
+  // instantiation) and s = 3 (the generic one) are pinned bit for bit:
+  // a change to the energy path must leave the sampling untouched.
   const auto quaternary = sampling_digest(4, 41, 42, 43, 200);
   const auto ternary = sampling_digest(3, 51, 52, 53, 200);
-  EXPECT_EQ(quaternary.chain, 0x56a437eb28b9781dULL);
-  EXPECT_EQ(ternary.chain, 0xe94dde62ddc85bb1ULL);
+  EXPECT_EQ(quaternary.chain, 0xc732cffa55d7f9edULL);
+  EXPECT_EQ(ternary.chain, 0x20f1fb5f78db498dULL);
 #if defined(__OPTIMIZE__) && defined(__FP_FAST_FMA)
   // The log q bits depend on whether the compiler contracts a*b + c
   // into an FMA, so they are pinned for the optimised FMA builds they
   // were recorded with.
-  EXPECT_EQ(quaternary.log_q, 0x987d79bd493acac6ULL);
-  EXPECT_EQ(ternary.log_q, 0xcf0d11984a1b5169ULL);
+  EXPECT_EQ(quaternary.log_q, 0x3f38d1dc6659c79dULL);
+  EXPECT_EQ(ternary.log_q, 0x559ed1b2cc4d3186ULL);
 #endif
+}
+
+/// One proposal drawn the scalar way: what a sampling lane must
+/// reproduce bit for bit.
+struct ScalarDraw {
+  std::vector<std::uint8_t> candidate;
+  double log_q = 0.0;  // forward: ln q(candidate | z)
+};
+
+/// The constrained sequential sampler, one site at a time, for proposal
+/// `ordinal` of a walker whose sampling stream has key `key`: site i
+/// reads words 2i, 2i+1 of the window starting at ordinal * W, W = 2n
+/// rounded up to whole Philox blocks. The pick is the last species with
+/// budget whose cumulative interval starts at or below u * norm.
+ScalarDraw scalar_draw(std::span<const float> probs,
+                       std::span<const std::int32_t> composition,
+                       const std::array<std::uint32_t, 2>& key,
+                       std::uint64_t ordinal) {
+  const std::size_t s = composition.size();
+  const std::size_t n = probs.size() / s;
+  mc::Rng rng;
+  rng.set_key(key);
+  rng.seek(ordinal * ((2 * n + 3) / 4 * 4));
+  std::vector<double> rem(composition.begin(), composition.end());
+  std::vector<double> w(s);
+  std::vector<double> start(s);
+  ScalarDraw d;
+  double run = 1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u01 = uniform01(rng);
+    double norm = 0.0;
+    for (std::size_t k = 0; k < s; ++k) {
+      w[k] = static_cast<double>(probs[i * s + k]) * rem[k];
+      start[k] = norm;
+      norm += w[k];
+    }
+    const double u = u01 * norm;
+    std::size_t chosen = 0;
+    for (std::size_t k = 1; k < s; ++k)
+      if (u >= start[k] && rem[k] > 0.0) chosen = k;
+    run *= w[chosen] / norm;
+    if (run < 1e-270) {
+      d.log_q += std::log(run);
+      run = 1.0;
+    }
+    rem[chosen] -= 1.0;
+    d.candidate.push_back(static_cast<std::uint8_t>(chosen));
+  }
+  d.log_q += std::log(run);
+  return d;
+}
+
+TEST(VaeProposalLanes, MatchTheScalarSampler) {
+  // Every lane of every pass -- one lane (K = 1), a partial pass (5), a
+  // full pass (16) and a pass plus one (17) -- draws exactly the scalar
+  // sampler's candidate, prices it at total_energy and reports its
+  // forward log q. 54 sites span two uniform chunks and a byte-counter
+  // flush; two shells add second-neighbour counts.
+  const auto lat = Lattice::create(LatticeType::kBCC, 3, 3, 3, 2);
+  for (const int n_species : {2, 3, 4}) {
+    const auto seed = static_cast<std::uint64_t>(n_species);
+    const auto ham = lattice::random_epi(n_species, 2, 0.2, 60 + seed);
+    auto vae = make_vae(lat.num_sites(), n_species, 70 + seed);
+    for (const std::int32_t k : {1, 5, 16, 17}) {
+      VaeProposal prop(ham, vae);
+      prop.set_decode_batch(k);
+      mc::Rng rng(81, seed);
+      auto cfg = lattice::random_configuration(lat, n_species, rng);
+      const std::vector<std::int32_t> comp(cfg.composition().begin(),
+                                           cfg.composition().end());
+      for (int i = 0; i < 36; ++i) {
+        const std::vector<std::uint8_t> before(cfg.occupancy().begin(),
+                                               cfg.occupancy().end());
+        const double current = ham.total_energy(cfg);
+        const auto r = prop.propose(cfg, units::Energy(current), rng);
+        const auto probs = prop.last_probs();
+        const auto want = scalar_draw(probs, comp,
+                                      VaeProposal::sampling_key(rng.key()),
+                                      prop.served() - 1);
+        const std::vector<std::uint8_t> got(cfg.occupancy().begin(),
+                                            cfg.occupancy().end());
+        ASSERT_EQ(got, want.candidate)
+            << "S=" << n_species << " K=" << k << " proposal " << i;
+        EXPECT_EQ(r.delta_energy.value(), ham.total_energy(cfg) - current);
+        const double log_q_rev =
+            VaeProposal::sequential_log_density(probs, before, n_species)
+                .value();
+        EXPECT_NEAR(r.log_q_ratio.value(), log_q_rev - want.log_q, 1e-12)
+            << "S=" << n_species << " K=" << k << " proposal " << i;
+        if (i % 3 == 0) prop.revert(cfg);
+      }
+    }
+  }
+}
+
+TEST(VaeProposalFastPath, CompositionChangeInvalidatesTheCandidates) {
+  // The candidates start from the state's species counts, so a new
+  // composition must redraw them: the proposal after the change equals
+  // a fresh kernel's at the same ordinal, and keeps the new composition.
+  const auto lat = Lattice::create(LatticeType::kBCC, 2, 2, 2, 2);
+  const auto ham = lattice::random_epi(4, 2, 0.2, 91);
+  auto vae = make_vae(lat.num_sites(), 4, 92);
+
+  VaeProposal prop(ham, vae);
+  mc::Rng rng(93, 0);
+  auto cfg = lattice::random_configuration(lat, 4, rng);
+  for (int i = 0; i < 3; ++i) {
+    (void)prop.propose(cfg, units::Energy(ham.total_energy(cfg)), rng);
+    prop.revert(cfg);
+  }
+  std::stringstream state;
+  prop.save_state(state);
+
+  const std::vector<double> dilute = {0.625, 0.125, 0.125, 0.125};
+  auto other = lattice::random_configuration(lat, 4, rng, dilute);
+  const std::vector<std::int32_t> other_comp(other.composition().begin(),
+                                             other.composition().end());
+  ASSERT_NE(other_comp, std::vector<std::int32_t>(cfg.composition().begin(),
+                                                  cfg.composition().end()));
+  auto fresh_cfg = other;
+  const double energy = ham.total_energy(other);
+  const auto got = prop.propose(other, units::Energy(energy), rng);
+
+  VaeProposal fresh(ham, vae);
+  fresh.load_state(state);
+  const auto want = fresh.propose(fresh_cfg, units::Energy(energy), rng);
+  EXPECT_EQ(std::vector<std::uint8_t>(other.occupancy().begin(),
+                                      other.occupancy().end()),
+            std::vector<std::uint8_t>(fresh_cfg.occupancy().begin(),
+                                      fresh_cfg.occupancy().end()));
+  EXPECT_EQ(std::vector<std::int32_t>(other.composition().begin(),
+                                      other.composition().end()),
+            other_comp);
+  EXPECT_EQ(got.delta_energy.value(), want.delta_energy.value());
+  EXPECT_EQ(got.log_q_ratio.value(), want.log_q_ratio.value());
 }
 
 TEST(VaeProposalFastPath, AuditEveryProposalPasses) {
   // Audit cadence 1: every candidate energy counted during sampling is
   // checked against total_energy bit for bit; a mismatch aborts via
   // DT_CHECK. The energies being equal, Delta E is exactly
-  // total_energy(candidate) - current. s = 3 runs the generic sampling
-  // loop, s = 4 the quaternary one; the 2-cell supercell's second shell
-  // holds duplicate periodic images.
+  // total_energy(candidate) - current. s = 3 runs the generic sampler
+  // instantiation, s = 4 the quaternary one; the 2-cell supercell's
+  // second shell holds duplicate periodic images.
   for (const int cells : {2, 3}) {
     const auto lat = Lattice::create(LatticeType::kBCC, cells, cells, cells, 2);
     for (const int n_species : {3, 4}) {
