@@ -14,8 +14,8 @@ int main(int argc, char** argv) {
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
   opts.lattice.nx = opts.lattice.ny = opts.lattice.nz =
-      static_cast<int>(cfg.get_int("cells", 2));
-  opts.n_bins = static_cast<std::int32_t>(cfg.get_int("bins", 60));
+      cfg.get_int_as("cells", 2);
+  opts.n_bins = cfg.get_int_as<std::int32_t>("bins", 60);
   cfg.require_all_read();
   bench::print_run_header("A3: conditional-VAE ablation", opts);
 

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
-  const auto n_temps = static_cast<int>(cfg.get_int("pt_temps", 10));
+  const auto n_temps = cfg.get_int_as("pt_temps", 10);
   const double t_lo = cfg.get_double("pt_t_lo", 0.02);
   const double t_hi = cfg.get_double("pt_t_hi", 0.6);
   const auto pt_sweeps = cfg.get_int("pt_sweeps", 4000);

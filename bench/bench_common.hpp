@@ -31,10 +31,11 @@ inline const Stopwatch& bench_clock() {
 }
 
 /// Parse the common command line: --cells, --bins, --seed, --csv,
-/// --json (machine-readable per-bench summaries), --telemetry (JSONL or
-/// CSV runtime telemetry, see src/obs), plus whatever bench-specific
-/// keys the caller reads from the result. Once it has read them all,
-/// the caller calls cfg.require_all_read(), so a mistyped flag fails.
+/// --json (machine-readable per-bench summaries), --telemetry (JSONL
+/// runtime telemetry, see src/obs; a .csv path is rejected), plus
+/// whatever bench-specific keys the caller reads from the result. Once
+/// it has read them all, the caller calls cfg.require_all_read(), so a
+/// mistyped flag fails.
 inline Config parse_args(int argc, char** argv) {
   (void)bench_clock();  // start the wall clock at entry
   Config cfg;
@@ -141,25 +142,23 @@ inline void emit(const Table& table, const Config& cfg,
 /// supercell of the quaternary NbMoTaW model.
 inline core::DeepThermoOptions bench_options(const Config& cfg) {
   core::DeepThermoOptions opts;
-  const auto cells = static_cast<int>(cfg.get_int("cells", 3));
+  const auto cells = cfg.get_int_as("cells", 3);
   opts.lattice.nx = opts.lattice.ny = opts.lattice.nz = cells;
-  opts.n_bins = static_cast<std::int32_t>(cfg.get_int("bins", 80));
-  opts.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 2023));
+  opts.n_bins = cfg.get_int_as<std::int32_t>("bins", 80);
+  opts.seed = cfg.get_int_as<std::uint64_t>("seed", 2023);
   opts.rewl.seed = opts.seed;
-  opts.rewl.n_windows = static_cast<int>(cfg.get_int("windows", 2));
-  opts.rewl.walkers_per_window =
-      static_cast<int>(cfg.get_int("walkers", 1));
+  opts.rewl.n_windows = cfg.get_int_as("windows", 2);
+  opts.rewl.walkers_per_window = cfg.get_int_as("walkers", 1);
   opts.rewl.max_sweeps = cfg.get_int("max_sweeps", 150000);
   opts.rewl.wl.log_f_final = cfg.get_double("log_f_final", 1e-3);
   opts.rewl.exchange_interval = cfg.get_int("exchange_interval", 50);
   opts.global_fraction = cfg.get_double("global_fraction", 0.05);
   opts.vae.hidden = cfg.get_int("hidden", 64);
   opts.vae.latent = cfg.get_int("latent", 8);
-  opts.vae.epochs = static_cast<int>(cfg.get_int("epochs", 12));
-  opts.pretrain.n_temperatures =
-      static_cast<int>(cfg.get_int("pretrain_temps", 5));
+  opts.vae.epochs = cfg.get_int_as("epochs", 12);
+  opts.pretrain.n_temperatures = cfg.get_int_as("pretrain_temps", 5);
   opts.pretrain.samples_per_temperature =
-      static_cast<int>(cfg.get_int("pretrain_samples", 32));
+      cfg.get_int_as("pretrain_samples", 32);
   return opts;
 }
 

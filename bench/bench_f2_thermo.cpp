@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   auto opts = bench::bench_options(cfg);
   const double t_lo = cfg.get_double("t_lo", 0.005);
   const double t_hi = cfg.get_double("t_hi", 0.40);
-  const auto n_t = static_cast<std::size_t>(cfg.get_int("t_points", 48));
+  const auto n_t = cfg.get_int_as<std::size_t>("t_points", 48);
   cfg.require_all_read();
   bench::print_run_header("F2: thermodynamics U/F/S/Cv vs T", opts);
 

@@ -18,12 +18,12 @@ int main(int argc, char** argv) {
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
   opts.lattice.nx = opts.lattice.ny = opts.lattice.nz =
-      static_cast<int>(cfg.get_int("cells", 4));
+      cfg.get_int_as("cells", 4);
   const double t_hi = cfg.get_double("t_hi", 0.40);
   const double t_lo = cfg.get_double("t_lo", 0.01);
-  const auto n_t = static_cast<int>(cfg.get_int("t_points", 14));
+  const auto n_t = cfg.get_int_as("t_points", 14);
   const auto equil = cfg.get_int("equil_sweeps", 300);
-  const auto n_samples = static_cast<int>(cfg.get_int("samples", 40));
+  const auto n_samples = cfg.get_int_as("samples", 40);
   const auto gap = cfg.get_int("sample_gap", 10);
   cfg.require_all_read();
   bench::print_run_header("F3: Warren-Cowley SRO vs temperature", opts);

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   auto opts = bench::bench_options(cfg);
   const auto budget = cfg.get_int("budget_sweeps", 4000);
   const auto throughput_props = cfg.get_int("throughput_props", 2000);
-  const auto max_w = static_cast<int>(cfg.get_int("walkers", 1));
+  const auto max_w = cfg.get_int_as("walkers", 1);
   const auto walker_props = cfg.get_int("walker_props", 600);
   cfg.require_all_read();
   bench::print_run_header("F4: proposal kernels compared", opts);
@@ -176,9 +176,9 @@ int main(int argc, char** argv) {
     bench::emit(wt, cfg, "Table F4d: multi-walker decode plane on/off",
                 "_walkers");
     std::cout << "note: the plane runs each fused GEMM on the leader\n"
-                 "walker's thread while the others wait, so it pays only\n"
-                 "when that GEMM gets an OpenMP team on otherwise idle\n"
-                 "cores; with one core per walker, plane-off is faster.\n\n";
+                 "walker's thread while the others wait, and the GEMM\n"
+                 "kernels are single-threaded, so the plane cannot pay;\n"
+                 "it stays only until ROADMAP item 1 removes it.\n\n";
   }
 
   std::cout << "expected shape: the mixed DeepThermo kernel reaches more\n"

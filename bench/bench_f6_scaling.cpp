@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const bool run_measured = cfg.get_bool("measured", true);
   device::ScalingWorkload w;
   w.n_sites = cfg.get_int("model_sites", 8192);
-  w.n_bins = static_cast<std::int32_t>(cfg.get_int("model_bins", 8000));
+  w.n_bins = cfg.get_int_as<std::int32_t>("model_bins", 8000);
   w.base_sweeps = cfg.get_double("model_base_sweeps", 5e6);
   cfg.require_all_read();
   bench::print_run_header("F6: scaling study", opts);

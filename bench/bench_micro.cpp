@@ -180,7 +180,7 @@ void BM_GemmBackward(benchmark::State& state) {
 BENCHMARK(BM_GemmBackward)->Arg(256);
 
 // The two backward contractions of one VAE training step at 2000 sites
-// (batch 32, hidden 64), single-threaded as every benchmark rank runs:
+// (batch 32, hidden 64), each on one thread as every kernel runs:
 // {32, 64, 8000} is the decoder output layer, {32, 8000, 64} the encoder
 // input layer. gemm_nt_acc(m, n, t): dA(m, n) += dY(m, t) . B(n, t)^T.
 void BM_GemmNtAcc(benchmark::State& state) {
@@ -191,8 +191,7 @@ void BM_GemmNtAcc(benchmark::State& state) {
   std::vector<float> b(n * t, 0.25f);
   std::vector<float> da(m * n, 0.0f);
   for (auto _ : state) {
-    tensor::gemm_nt_acc(m, n, t, dy.data(), b.data(), da.data(),
-                        tensor::GemmMode::kSerial);
+    tensor::gemm_nt_acc(m, n, t, dy.data(), b.data(), da.data());
     benchmark::DoNotOptimize(da.data());
     benchmark::ClobberMemory();
   }
@@ -210,8 +209,7 @@ void BM_GemmTnAcc(benchmark::State& state) {
   std::vector<float> dy(p * n, 0.25f);
   std::vector<float> db(m * n, 0.0f);
   for (auto _ : state) {
-    tensor::gemm_tn_acc(p, m, n, a.data(), dy.data(), db.data(),
-                        tensor::GemmMode::kSerial);
+    tensor::gemm_tn_acc(p, m, n, a.data(), dy.data(), db.data());
     benchmark::DoNotOptimize(db.data());
     benchmark::ClobberMemory();
   }

@@ -11,9 +11,8 @@ int main(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
-  opts.rewl.n_windows = static_cast<int>(cfg.get_int("windows", 3));
-  opts.rewl.walkers_per_window =
-      static_cast<int>(cfg.get_int("walkers", 2));
+  opts.rewl.n_windows = cfg.get_int_as("windows", 3);
+  opts.rewl.walkers_per_window = cfg.get_int_as("walkers", 2);
   cfg.require_all_read();
   bench::print_run_header("T2: REWL configuration summary", opts);
 

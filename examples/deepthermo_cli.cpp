@@ -14,7 +14,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <utility>
 
 #include "ckpt/signal.hpp"
 #include "common/config.hpp"
@@ -55,8 +54,9 @@ vae_epochs = 12
 # identical for any setting (see README "Performance tuning").
 decode_batch = 0
 # Opt-in cross-walker decode plane: fuse all walkers' decode refills
-# into one GEMM on one thread. Pays only when that GEMM gets an OpenMP
-# team on otherwise idle cores. Unset keys keep the library defaults;
+# into one GEMM on one thread. It cannot pay (the GEMM kernels are
+# single-threaded) and stays only until ROADMAP item 1 removes it.
+# Unset keys keep the library defaults;
 # decode_plane_window_us is the max microseconds a plane leader waits
 # for stragglers before serving a partial batch.
 # decode_plane = true
@@ -84,7 +84,7 @@ dos_out =
 scan_out =
 
 # observability (see README "Observability"): telemetry sink path --
-# *.jsonl streams events, *.csv writes one CSV per event type.
+# events stream to it as JSONL; a *.csv path is rejected.
 telemetry =
 log_format = text       # text | json
 
@@ -103,16 +103,6 @@ dt::lattice::LatticeType parse_lattice(const std::string& name) {
   if (name == "fcc") return dt::lattice::LatticeType::kFCC;
   if (name == "sc") return dt::lattice::LatticeType::kSimpleCubic;
   throw dt::Error("unknown lattice type: " + name);
-}
-
-/// cfg.get_int(key) narrowed to T. A value T cannot hold is rejected,
-/// naming the key, instead of wrapping.
-template <class T>
-T get_int_as(const dt::Config& cfg, const std::string& key, T fallback) {
-  const std::int64_t v = cfg.get_int(key, static_cast<std::int64_t>(fallback));
-  DT_CHECK_MSG(std::in_range<T>(v),
-               "config key '" << key << "' is out of range: " << v);
-  return static_cast<T>(v);
 }
 
 }  // namespace
@@ -147,18 +137,18 @@ int main(int argc, char** argv) try {
   const std::string telemetry_path = cfg.get_string("telemetry", "");
   obs::HttpServerOptions so;
   so.bind = cfg.get_string("obs_http_bind", "127.0.0.1");
-  so.port = get_int_as(cfg, "obs_http_port", -1);
+  so.port = cfg.get_int_as("obs_http_port", -1);
 
   core::DeepThermoOptions opts;
   opts.lattice.type = parse_lattice(cfg.get_string("lattice", "bcc"));
-  const auto cells = get_int_as(cfg, "cells", 3);
+  const auto cells = cfg.get_int_as("cells", 3);
   opts.lattice.nx = opts.lattice.ny = opts.lattice.nz = cells;
-  opts.n_species = get_int_as(cfg, "n_species", 4);
-  opts.n_bins = get_int_as<std::int32_t>(cfg, "bins", 80);
-  opts.seed = get_int_as<std::uint64_t>(cfg, "seed", 2023);
+  opts.n_species = cfg.get_int_as("n_species", 4);
+  opts.n_bins = cfg.get_int_as<std::int32_t>("bins", 80);
+  opts.seed = cfg.get_int_as<std::uint64_t>("seed", 2023);
   opts.rewl.seed = opts.seed;
-  opts.rewl.n_windows = get_int_as(cfg, "windows", 2);
-  opts.rewl.walkers_per_window = get_int_as(cfg, "walkers", 1);
+  opts.rewl.n_windows = cfg.get_int_as("windows", 2);
+  opts.rewl.walkers_per_window = cfg.get_int_as("walkers", 1);
   opts.rewl.overlap = cfg.get_double("overlap", 0.75);
   opts.rewl.max_sweeps = cfg.get_int("max_sweeps", 300000);
   opts.rewl.wl.log_f_final = cfg.get_double("log_f_final", 1e-4);
@@ -168,8 +158,8 @@ int main(int argc, char** argv) try {
   opts.condition_on_energy = cfg.get_bool("condition_on_energy", false);
   opts.vae.hidden = cfg.get_int("vae_hidden", 64);
   opts.vae.latent = cfg.get_int("vae_latent", 8);
-  opts.vae.epochs = get_int_as(cfg, "vae_epochs", 12);
-  opts.vae_decode_batch = get_int_as<std::int32_t>(cfg, "decode_batch", 0);
+  opts.vae.epochs = cfg.get_int_as("vae_epochs", 12);
+  opts.vae_decode_batch = cfg.get_int_as<std::int32_t>("decode_batch", 0);
   opts.decode_plane = cfg.get_bool("decode_plane", opts.decode_plane);
   opts.decode_plane_window_us =
       cfg.get_int("decode_plane_window_us", opts.decode_plane_window_us);
@@ -178,13 +168,13 @@ int main(int argc, char** argv) try {
   opts.checkpoint_interval_rounds = cfg.get_int("checkpoint_interval", 25);
   opts.checkpoint_min_interval_seconds =
       cfg.get_double("checkpoint_min_interval", 1.0);
-  opts.checkpoint_keep = get_int_as(cfg, "checkpoint_keep", 3);
+  opts.checkpoint_keep = cfg.get_int_as("checkpoint_keep", 3);
   opts.resume = cfg.get_bool("resume", false);
   opts.rewl.watchdog_stall_seconds =
       cfg.get_double("watchdog_stall_seconds", 0.0);
   const double t_lo = cfg.get_double("t_lo", 0.005);
   const double t_hi = cfg.get_double("t_hi", 0.4);
-  const auto n_t = get_int_as<std::size_t>(cfg, "t_points", 40);
+  const auto n_t = cfg.get_int_as<std::size_t>("t_points", 40);
   DT_CHECK_MSG(t_lo > 0.0 && t_hi > 0.0,
                "config keys 't_lo' and 't_hi' must be > 0, got "
                    << t_lo << " and " << t_hi);

@@ -19,13 +19,13 @@ int main(int argc, char** argv) {
   cfg.update_from_args(argc, argv);
 
   core::DeepThermoOptions options;
-  const auto cells = static_cast<int>(cfg.get_int("cells", 3));
+  const auto cells = cfg.get_int_as("cells", 3);
   options.lattice.nx = options.lattice.ny = options.lattice.nz = cells;
-  options.n_bins = static_cast<std::int32_t>(cfg.get_int("bins", 80));
-  options.rewl.n_windows = static_cast<int>(cfg.get_int("windows", 2));
+  options.n_bins = cfg.get_int_as<std::int32_t>("bins", 80);
+  options.rewl.n_windows = cfg.get_int_as("windows", 2);
   options.rewl.max_sweeps = cfg.get_int("max_sweeps", 300000);
   options.rewl.wl.log_f_final = cfg.get_double("log_f_final", 1e-4);
-  options.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 5));
+  options.seed = cfg.get_int_as<std::uint64_t>("seed", 5);
   const std::string save_path = cfg.get_string("save", "");
   cfg.require_all_read();
 

@@ -36,9 +36,9 @@ rm -f "${f4_json}"
 
 # Micro kernels: the GEMM + decode + proposal + energy hot paths and one
 # VAE training step. The proposal rows include VaeGlobalProposal/3/16,
-# the 54-site move of the tts54 workload. Single-threaded, as every time-to-solution rank runs
-# (ttsbench sets OMP_NUM_THREADS=1), so the numbers are what a walker pays.
-OMP_NUM_THREADS=1 "${build_dir}/bench/bench_micro" \
+# the 54-site move of the tts54 workload. The kernels run on one thread,
+# as in every REWL rank, so the numbers are what a walker pays.
+"${build_dir}/bench/bench_micro" \
   --benchmark_filter='BM_(GemmNN|GemmBackward|GemmNtAcc|GemmTnAcc|TotalEnergy|VaeDecodeBatch|VaeGlobalProposal|VaeTrainStep)' \
   --benchmark_min_time="${min_time}" \
   --benchmark_out="${micro_json}" --benchmark_out_format=json

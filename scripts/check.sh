@@ -166,12 +166,9 @@ stage_tsan() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DDT_ENABLE_TSAN=ON >/dev/null
   cmake --build "${tsan_dir}" -j "${jobs}" --target "${targets[@]}"
-  # OMP_NUM_THREADS=1: libgomp is not TSan-instrumented and would emit
-  # false positives from its own synchronisation.
   local t
   for t in "${targets[@]}"; do
-    TSAN_OPTIONS="halt_on_error=1:${TSAN_OPTIONS:-}" OMP_NUM_THREADS=1 \
-      "${tsan_dir}/tests/${t}"
+    TSAN_OPTIONS="halt_on_error=1:${TSAN_OPTIONS:-}" "${tsan_dir}/tests/${t}"
   done
   echo "check.sh: concurrency tests clean under TSan"
 }
@@ -243,8 +240,7 @@ stage_perf() {
   fi
   cmake --build "${release_dir}" -j "${jobs}" --target bench_micro
   local smoke_json="${release_dir}/bench_micro_smoke.json"
-  # Single-threaded, like the baseline (scripts/bench_baseline.sh).
-  OMP_NUM_THREADS=1 "${release_dir}/bench/bench_micro" \
+  "${release_dir}/bench/bench_micro" \
     --benchmark_filter='BM_(GemmNN/256|GemmNtAcc/32/64/8000|GemmNtAcc/32/8000/64|GemmTnAcc/32/64/8000|GemmTnAcc/32/8000/64|VaeGlobalProposal/10/16|VaeTrainStep/10/32|TotalEnergy/8)' \
     --benchmark_min_time=0.5 --benchmark_repetitions=3 \
     --benchmark_report_aggregates_only=true \

@@ -10,12 +10,16 @@
 //   cfg.require_all_read();  // a mistyped key fails instead of being ignored
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/error.hpp"
 
 namespace dt {
 
@@ -39,6 +43,15 @@ class Config {
   /// is not a number, does not fit the return type, or is not finite.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
+  /// get_int narrowed to T; also throws when the value does not fit T
+  /// (a negative value into an unsigned T, say).
+  template <std::integral T>
+  [[nodiscard]] T get_int_as(const std::string& key, T fallback) const {
+    const std::int64_t v = get_int(key, static_cast<std::int64_t>(fallback));
+    DT_CHECK_MSG(std::in_range<T>(v),
+                 "config key '" << key << "' is out of range: " << v);
+    return static_cast<T>(v);
+  }
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;

@@ -89,11 +89,11 @@ struct DeepThermoOptions {
   /// cross-walker decode plane (see core/decode_plane.hpp), which fuses
   /// the refills of all walkers into one GEMM with double-buffered
   /// prefetch per walker. The fused GEMM runs on the leader walker's
-  /// thread while the others wait, so it pays only when that GEMM gets
-  /// an OpenMP team on otherwise idle cores. With one core per walker,
-  /// per-walker decode-ahead (the default) is faster end to end (see
-  /// DESIGN.md "Cross-walker decode plane"). Pure performance knob --
-  /// proposals are bitwise identical either way.
+  /// thread while the others wait, and the GEMM kernels are
+  /// single-threaded, so the plane cannot pay: per-walker decode-ahead
+  /// (the default) is faster end to end (see DESIGN.md "Cross-walker
+  /// decode plane"). It stays only until ROADMAP item 1 removes it.
+  /// Proposals are bitwise identical either way.
   bool decode_plane = false;
   /// Max microseconds a plane leader waits for stragglers before serving
   /// a partial batch (see DecodePlane::Options::window_us).

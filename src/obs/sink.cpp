@@ -1,40 +1,11 @@
 #include "obs/sink.hpp"
 
-#include <ostream>
+#include <fstream>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
 
 namespace dt::obs {
-
-namespace {
-
-std::string field_to_csv(const FieldValue& value) {
-  return std::visit(
-      [](const auto& v) -> std::string {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, bool>) {
-          return v ? "1" : "0";
-        } else if constexpr (std::is_same_v<T, std::string>) {
-          // Minimal RFC-4180 quoting.
-          if (v.find_first_of(",\"\n") == std::string::npos) return v;
-          std::string out = "\"";
-          for (const char c : v) {
-            if (c == '"') out += '"';
-            out += c;
-          }
-          out += '"';
-          return out;
-        } else if constexpr (std::is_same_v<T, double>) {
-          return json_number(v);
-        } else {
-          return std::to_string(v);
-        }
-      },
-      value);
-}
-
-}  // namespace
 
 std::string event_to_json(const Event& event) {
   JsonWriter w;
@@ -61,52 +32,6 @@ void JsonlSink::write(const Event& event) {
 void JsonlSink::flush() {
   MutexLock lock(mutex_);
   os_->flush();
-}
-
-CsvSink::CsvSink(std::string base_path) : base_(std::move(base_path)) {
-  const auto dot = base_.rfind(".csv");
-  if (dot != std::string::npos && dot == base_.size() - 4)
-    base_.erase(dot);
-}
-
-void CsvSink::write(const Event& event) {
-  MutexLock lock(mutex_);
-  auto it = streams_.find(event.type);
-  if (it == streams_.end()) {
-    Stream stream;
-    stream.file.open(base_ + "_" + event.type + ".csv", std::ios::trunc);
-    DT_CHECK_MSG(stream.file.good(),
-                 "cannot open telemetry CSV for event type " << event.type);
-    for (const auto& [name, value] : event.fields) {
-      (void)value;
-      stream.columns.push_back(name);
-    }
-    std::string header;
-    for (const auto& c : stream.columns) {
-      if (!header.empty()) header += ',';
-      header += c;
-    }
-    stream.file << header << '\n';
-    it = streams_.emplace(event.type, std::move(stream)).first;
-  }
-
-  Stream& stream = it->second;
-  std::string row;
-  for (std::size_t i = 0; i < stream.columns.size(); ++i) {
-    if (i > 0) row += ',';
-    for (const auto& [name, value] : event.fields) {
-      if (name == stream.columns[i]) {
-        row += field_to_csv(value);
-        break;
-      }
-    }
-  }
-  stream.file << row << '\n';
-}
-
-void CsvSink::flush() {
-  MutexLock lock(mutex_);
-  for (auto& [type, stream] : streams_) stream.file.flush();
 }
 
 }  // namespace dt::obs

@@ -1,18 +1,14 @@
 // Telemetry events and pluggable output sinks.
 //
 // An Event is a typed, ordered bag of scalar fields ("rewl_walker" with
-// rank/sweeps/flatness/...). Sinks serialise events:
-//   * JsonlSink  -- one JSON object per line, schema-free, jq-friendly.
-//   * CsvSink    -- one CSV file per event type (<base>_<type>.csv);
-//                   columns fixed by the first event of that type.
-// Both are mutex-guarded; the Telemetry facade fans one event out to
-// every registered sink.
+// rank/sweeps/flatness/...). A Sink serialises events; JsonlSink writes
+// one JSON object per line (schema-free, jq-friendly) under a mutex. The
+// Telemetry facade fans one event out to every registered sink.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
-#include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <variant>
@@ -88,28 +84,6 @@ class JsonlSink final : public Sink {
   Mutex mutex_;
   std::unique_ptr<std::ostream> os_ DT_GUARDED_BY(mutex_)
       DT_PT_GUARDED_BY(mutex_);
-};
-
-class CsvSink final : public Sink {
- public:
-  /// Events of type T go to <base>_T.csv (".csv" suffix of `base` is
-  /// stripped first). Column set = fields of the first T event; later
-  /// events are matched by field name, missing fields stay empty and
-  /// unknown fields are dropped.
-  explicit CsvSink(std::string base_path);
-
-  void write(const Event& event) override;
-  void flush() override;
-
- private:
-  struct Stream {
-    std::ofstream file;
-    std::vector<std::string> columns;
-  };
-
-  Mutex mutex_;
-  std::string base_;  ///< immutable after construction
-  std::map<std::string, Stream> streams_ DT_GUARDED_BY(mutex_);
 };
 
 }  // namespace dt::obs

@@ -1,5 +1,6 @@
 #include "obs/telemetry.hpp"
 
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 
@@ -11,13 +12,12 @@ Telemetry& Telemetry::instance() {
 }
 
 void Telemetry::enable(const std::string& path) {
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (csv)
-    add_sink(std::make_unique<CsvSink>(path));
-  else
-    add_sink(std::make_unique<JsonlSink>(path));
-  DT_LOG_INFO << "telemetry enabled -> " << path << (csv ? " (csv)" : " (jsonl)");
+  if (path.ends_with(".csv"))
+    throw Error("telemetry path '" + path +
+                "': there is no CSV sink; telemetry is written as JSONL "
+                "(one JSON object per line), e.g. run.jsonl");
+  add_sink(std::make_unique<JsonlSink>(path));
+  DT_LOG_INFO << "telemetry enabled -> " << path << " (jsonl)";
 }
 
 void Telemetry::add_sink(std::unique_ptr<Sink> sink) {

@@ -1,6 +1,6 @@
 // Process-wide telemetry facade tying the pieces together.
 //
-//   obs::Telemetry::instance().enable("run.jsonl");   // or *.csv
+//   obs::Telemetry::instance().enable("run.jsonl");
 //   ... instrumented code emits events / bumps metrics / opens spans ...
 //   obs::Telemetry::instance().finish();              // spans+snapshot+flush
 //
@@ -29,9 +29,9 @@ class Telemetry {
  public:
   static Telemetry& instance();
 
-  /// Open a sink at `path` -- a ".csv" suffix selects the CSV sink
-  /// family, anything else JSONL -- then turn on event emission and
-  /// retain the instrumentation switch. Repeated calls add sinks.
+  /// Open a JSONL sink at `path`, then turn on event emission and retain
+  /// the instrumentation switch. Repeated calls add sinks. A ".csv" path
+  /// throws dt::Error: there is no CSV sink.
   void enable(const std::string& path);
   void add_sink(std::unique_ptr<Sink> sink);
 

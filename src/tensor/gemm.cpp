@@ -35,18 +35,6 @@ constexpr std::size_t kTnPanel = 256;  // gemm_tn_acc column panel
 constexpr std::size_t kNtRows = 64;    // gemm_nt_acc row block
 constexpr std::size_t kNtDepth = 128;  // gemm_nt_acc depth chunk
 
-bool use_parallel(GemmMode mode, std::size_t flops) {
-  switch (mode) {
-    case GemmMode::kSerial:
-      return false;
-    case GemmMode::kParallel:
-      return true;
-    case GemmMode::kAuto:
-      return flops >= kGemmParallelFlops;
-  }
-  return false;
-}
-
 inline vf load(const float* p) {
   vf v;
   std::memcpy(&v, p, sizeof v);
@@ -137,8 +125,7 @@ void band(std::size_t depth, std::size_t n, const float* a, std::size_t ars,
 }
 
 void gemm_nn_impl(std::size_t m, std::size_t k, std::size_t n, const float* a,
-                  const float* b, float* c, GemmMode mode) {
-  const bool parallel = use_parallel(mode, 2 * m * k * n);
+                  const float* b, float* c) {
   // Packing B costs one read + write + re-read of every panel; it pays
   // only when the panel is reused by many row tiles. Skinny products
   // (the decode-ahead batch: m = K) stream B directly instead.
@@ -159,14 +146,7 @@ void gemm_nn_impl(std::size_t m, std::size_t k, std::size_t n, const float* a,
         bsrc = packed.data();
         ldb = nb;
       }
-      const auto bands =
-          static_cast<std::ptrdiff_t>((m + kNnRows - 1) / kNnRows);
-      // Threads split ROW bands only -- the kk reduction below stays
-      // sequential per C element, so any thread count produces bitwise
-      // identical results.
-#pragma omp parallel for schedule(static) if (parallel)
-      for (std::ptrdiff_t ti = 0; ti < bands; ++ti) {
-        const std::size_t i0 = static_cast<std::size_t>(ti) * kNnRows;
+      for (std::size_t i0 = 0; i0 < m; i0 += kNnRows) {
         const float* ablk = a + i0 * k + k0;
         float* cblk = c + i0 * n + j0;
         if (m - i0 >= kNnRows) {
@@ -217,33 +197,26 @@ void rows_nt_split(std::size_t u0, std::size_t u1, std::size_t fused_from,
 }  // namespace
 
 void gemm_nn(std::size_t m, std::size_t k, std::size_t n, const float* a,
-             const float* b, float* c, GemmMode mode) {
+             const float* b, float* c) {
   std::fill(c, c + m * n, 0.0f);
-  gemm_nn_impl(m, k, n, a, b, c, mode);
+  gemm_nn_impl(m, k, n, a, b, c);
 }
 
 void gemm_nn_acc(std::size_t m, std::size_t k, std::size_t n, const float* a,
-                 const float* b, float* c, GemmMode mode) {
+                 const float* b, float* c) {
   // The micro kernels load C tiles into their accumulators before the
   // depth loop, so skipping the zero fill accumulates on top of C.
-  gemm_nn_impl(m, k, n, a, b, c, mode);
+  gemm_nn_impl(m, k, n, a, b, c);
 }
 
 void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t t, const float* a,
-                 const float* b, float* c, GemmMode mode) {
-  const bool parallel = use_parallel(mode, 2 * m * n * t);
+                 const float* b, float* c) {
   // Depths from here on are fused; see the order contract in gemm.hpp.
   const std::size_t fused_from =
       t / 16 * 16 + (t % 16 >= 8 ? std::size_t{8} : std::size_t{0});
-  const auto col_blocks =
-      static_cast<std::ptrdiff_t>((n + kLanes - 1) / kLanes);
   for (std::size_t i0 = 0; i0 < m; i0 += kNtRows) {
     const std::size_t mb = std::min(kNtRows, m - i0);
-    // Threads split output column blocks; each lane's depth sum stays
-    // sequential, so any thread count produces bitwise identical results.
-#pragma omp parallel for schedule(static) if (parallel)
-    for (std::ptrdiff_t jb = 0; jb < col_blocks; ++jb) {
-      const std::size_t j0 = static_cast<std::size_t>(jb) * kLanes;
+    for (std::size_t j0 = 0; j0 < n; j0 += kLanes) {
       const std::size_t lanes = std::min(kLanes, n - j0);
       vf sums[kNtRows];
       vf bt[kNtDepth];  // B rows j0.. transposed: bt[u][lane] = B[j0+lane][u]
@@ -273,19 +246,12 @@ void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t t, const float* a,
 }
 
 void gemm_tn_acc(std::size_t p, std::size_t m, std::size_t n, const float* a,
-                 const float* b, float* c, GemmMode mode) {
-  const bool parallel = use_parallel(mode, 2 * p * m * n);
-  const auto row_tiles =
-      static_cast<std::ptrdiff_t>((m + kTnRows - 1) / kTnRows);
+                 const float* b, float* c) {
   // Column panels outermost keep a p x kTnPanel slice of B cache-resident
-  // across every row tile. Threads split row tiles; each C block belongs
-  // to one (panel, row tile) pair, so panels need no barrier between them.
-#pragma omp parallel if (parallel)
+  // across every row tile.
   for (std::size_t j0 = 0; j0 < n; j0 += kTnPanel) {
     const std::size_t j1 = std::min(n, j0 + kTnPanel);
-#pragma omp for schedule(static) nowait
-    for (std::ptrdiff_t ti = 0; ti < row_tiles; ++ti) {
-      const std::size_t i0 = static_cast<std::size_t>(ti) * kTnRows;
+    for (std::size_t i0 = 0; i0 < m; i0 += kTnRows) {
       const std::size_t rows = std::min(kTnRows, m - i0);
       // A(p, m)^T: row r of the tile is column i0 + r of A.
       if (rows == kTnRows) {

@@ -10,7 +10,7 @@
 // Per-element order contract. Trained weights -- and through them every
 // trajectory, checkpoint and bit-exact resume -- depend on each rounding,
 // so every kernel computes each C element in one fixed order, whatever
-// its tiling or thread count. "fma" below is a*b + c as the compiler
+// its tiling. "fma" below is a*b + c as the compiler
 // contracts it: one fused step in optimised builds for FMA targets.
 //
 //   gemm_nn / gemm_nn_acc  c = C (0 for gemm_nn); c = fma(a[i][k], b[k][j], c)
@@ -42,9 +42,8 @@
 //    panel: the panel is copied into a contiguous kc x nc buffer once per
 //    block and streamed by every row tile (skipped for skinny A, where
 //    the pack traffic would exceed the reuse).
-//  * OpenMP above a FLOP threshold, splitting output elements only -- no
-//    reduction is ever split, so serial and parallel paths are bitwise
-//    identical by construction (pinned in test_gemm).
+//  * Single-threaded: REWL runs one walker per thread, so a walker's
+//    GEMMs never fork a team of their own.
 //
 // All matrices are dense row-major, no aliasing between C and A/B.
 #pragma once
@@ -53,31 +52,22 @@
 
 namespace dt::tensor {
 
-enum class GemmMode {
-  kAuto,      ///< parallel iff the FLOP count clears the threshold
-  kSerial,    ///< force the single-threaded path
-  kParallel,  ///< force the OpenMP path (still bitwise == serial)
-};
-
-/// 2*m*k*n FLOPs at or above which kAuto picks the OpenMP path.
-inline constexpr std::size_t kGemmParallelFlops = std::size_t{1} << 22;
-
 /// C(m,n) = A(m,k) . B(k,n). C is overwritten.
 void gemm_nn(std::size_t m, std::size_t k, std::size_t n, const float* a,
-             const float* b, float* c, GemmMode mode = GemmMode::kAuto);
+             const float* b, float* c);
 
 /// C(m,n) += A(m,k) . B(k,n): like gemm_nn but C's initial contents are
 /// kept (caller must have initialised them). Lets a fused linear layer
 /// pre-fill C with the bias instead of paying a separate add pass.
 void gemm_nn_acc(std::size_t m, std::size_t k, std::size_t n, const float* a,
-                 const float* b, float* c, GemmMode mode = GemmMode::kAuto);
+                 const float* b, float* c);
 
 /// C(m,n) += A(m,t) . B(n,t)^T, i.e. C[i][j] += sum_t A[i][t] * B[j][t].
 void gemm_nt_acc(std::size_t m, std::size_t n, std::size_t t, const float* a,
-                 const float* b, float* c, GemmMode mode = GemmMode::kAuto);
+                 const float* b, float* c);
 
 /// C(m,n) += A(p,m)^T . B(p,n), i.e. C[i][j] += sum_t A[t][i] * B[t][j].
 void gemm_tn_acc(std::size_t p, std::size_t m, std::size_t n, const float* a,
-                 const float* b, float* c, GemmMode mode = GemmMode::kAuto);
+                 const float* b, float* c);
 
 }  // namespace dt::tensor

@@ -15,6 +15,7 @@ set(cases
   "--t_lo=-0.1|t_lo"
   "--log_f_final=0|log_f_final"
   "--exchange_interval=0|exchange_interval"
+  "--telemetry=rejected.csv|JSONL"
 )
 
 set(failures 0)

@@ -78,6 +78,41 @@ TEST(Config, TypeErrorsThrow) {
   EXPECT_EQ(cfg.get_double("edge", 0.0), 1.7976931348623157e308);
 }
 
+// get_int_as rejects what the target type cannot hold instead of wrapping:
+// 2^32 + 2 into an int would otherwise run 2 cells, -1 into a seed 2^64-1.
+TEST(Config, NarrowingGetterRejectsWhatTheTypeCannotHold) {
+  Config cfg;
+  EXPECT_EQ(cfg.get_int_as("unset", 7), 7);
+  cfg.set("cells", "4294967298");
+  EXPECT_THROW((void)cfg.get_int_as<int>("cells", 3), Error);
+  EXPECT_EQ(cfg.get_int_as<std::int64_t>("cells", 3), 4294967298);
+  cfg.set("cells", "-2147483649");
+  EXPECT_THROW((void)cfg.get_int_as<std::int32_t>("cells", 3), Error);
+  cfg.set("seed", "-1");
+  EXPECT_THROW((void)cfg.get_int_as<std::uint64_t>("seed", 1), Error);
+  EXPECT_THROW((void)cfg.get_int_as<std::size_t>("seed", 1), Error);
+  EXPECT_EQ(cfg.get_int_as<int>("seed", 1), -1);
+  // The edges of the target type still parse.
+  cfg.set("edge", "2147483647");
+  EXPECT_EQ(cfg.get_int_as<std::int32_t>("edge", 0), INT32_MAX);
+  cfg.set("edge", "-2147483648");
+  EXPECT_EQ(cfg.get_int_as<std::int32_t>("edge", 0), INT32_MIN);
+  cfg.set("edge", "0");
+  EXPECT_EQ(cfg.get_int_as<std::uint64_t>("edge", 1), 0U);
+  cfg.set("edge", "9223372036854775807");
+  EXPECT_EQ(cfg.get_int_as<std::uint64_t>("edge", 1),
+            std::uint64_t{INT64_MAX});
+  // The message names the key.
+  cfg.set("seed", "-1");
+  try {
+    (void)cfg.get_int_as<std::uint64_t>("seed", 1);
+    FAIL() << "no throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Config, MalformedLineThrows) {
   EXPECT_THROW((void)Config::from_text("just a line without equals\n"), Error);
 }

@@ -1,9 +1,7 @@
 // Correctness of the blocked GEMM kernels behind the VAE, pinned
 // against a naive triple loop: randomized shapes including degenerate
 // and non-block-multiple edges, accumulate semantics of the backward
-// kernels, and bitwise serial == parallel equality (the parallel path
-// splits row tiles only, never the k reduction, so the arithmetic is
-// identical by construction).
+// kernels, and each kernel's per-element order, bit for bit.
 #include "tensor/gemm.hpp"
 
 #include <gtest/gtest.h>
@@ -145,40 +143,6 @@ TEST(GemmTnAcc, AccumulatesGradIntoNonzeroOutput) {
   expect_close(got, want, m);
 }
 
-// The OpenMP path must be a pure scheduling change: forcing parallel vs
-// serial on a shape above the auto threshold gives bitwise-equal output
-// (the k reduction is never split across threads).
-TEST(GemmMode, ParallelIsBitwiseEqualToSerial) {
-  const std::int64_t m = 128, k = 128, n = 512;  // 2*m*k*n > kAuto threshold
-  const auto a = random_matrix(m, k, 9);
-  const auto b = random_matrix(k, n, 10);
-
-  std::vector<float> serial(static_cast<std::size_t>(m * n));
-  std::vector<float> parallel(static_cast<std::size_t>(m * n));
-  std::vector<float> automatic(static_cast<std::size_t>(m * n));
-  gemm_nn(m, k, n, a.data(), b.data(), serial.data(), GemmMode::kSerial);
-  gemm_nn(m, k, n, a.data(), b.data(), parallel.data(), GemmMode::kParallel);
-  gemm_nn(m, k, n, a.data(), b.data(), automatic.data(), GemmMode::kAuto);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_EQ(serial, automatic);
-
-  std::vector<float> acc_s(static_cast<std::size_t>(m * k), 0.5F);
-  std::vector<float> acc_p(static_cast<std::size_t>(m * k), 0.5F);
-  gemm_nt_acc(m, k, n, serial.data(), b.data(), acc_s.data(),
-              GemmMode::kSerial);
-  gemm_nt_acc(m, k, n, serial.data(), b.data(), acc_p.data(),
-              GemmMode::kParallel);
-  EXPECT_EQ(acc_s, acc_p);
-
-  std::vector<float> accb_s(static_cast<std::size_t>(k * n), -0.25F);
-  std::vector<float> accb_p(static_cast<std::size_t>(k * n), -0.25F);
-  gemm_tn_acc(m, k, n, a.data(), serial.data(), accb_s.data(),
-              GemmMode::kSerial);
-  gemm_tn_acc(m, k, n, a.data(), serial.data(), accb_p.data(),
-              GemmMode::kParallel);
-  EXPECT_EQ(accb_s, accb_p);
-}
-
 // The decode plane fuses several walkers' rows into one GEMM whose row
 // count varies from call to call; every batched row must reproduce the
 // row decoded alone (m = 1) exactly, including above the row count
@@ -282,45 +246,55 @@ std::vector<float> signed_zero_matrix(std::size_t rows, std::size_t cols,
 
 void expect_bitwise(const std::vector<float>& got,
                     const std::vector<float>& want, const char* what,
-                    std::size_t d0, std::size_t d1, std::size_t d2,
-                    GemmMode mode) {
+                    std::size_t d0, std::size_t d1, std::size_t d2) {
   ASSERT_EQ(got.size(), want.size());
   ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
             0)
-      << what << " (" << d0 << ", " << d1 << ", " << d2 << ") mode "
-      << static_cast<int>(mode);
+      << what << " (" << d0 << ", " << d1 << ", " << d2 << ")";
 }
 
-constexpr GemmMode kModes[] = {GemmMode::kSerial, GemmMode::kParallel,
-                               GemmMode::kAuto};
+// One large shape on top of each test's grid, in each kernel's own
+// argument order: gemm_nn packs B for all its row bands, gemm_nt_acc runs
+// two row blocks over four depth chunks, gemm_tn_acc two column panels.
+constexpr std::size_t kLarge[] = {128, 128, 512};
 
 // Every remainder path: rows % 8 and % 4, columns below, at and past one
 // and two 16-lane vectors, depths on each side of 8 and 16 and past the
 // 128 / 256 depth chunks, and widths past the 256 / 1024 column blocks.
 TEST(GemmContract, NnMatchesReferenceBitwise) {
   std::uint64_t seed = 300;
+  const auto check = [&seed](std::size_t m, std::size_t k, std::size_t n) {
+    const auto a = signed_zero_matrix(m, k, ++seed);
+    const auto b = signed_zero_matrix(k, n, ++seed);
+    const auto c0 = signed_zero_matrix(m, n, ++seed);
+    auto want = c0;
+    ref_nn_acc(m, k, n, a.data(), b.data(), want.data());
+    auto got = c0;
+    gemm_nn_acc(m, k, n, a.data(), b.data(), got.data());
+    expect_bitwise(got, want, "gemm_nn_acc", m, k, n);
+  };
   const std::size_t rows[] = {1, 3, 4, 7, 8, 13, 33};
   const std::size_t depths[] = {1, 5, 16, 37, 64, 257};
   const std::size_t cols[] = {1, 8, 15, 16, 17, 33, 47, 64, 1100};
   for (const std::size_t m : rows)
     for (const std::size_t k : depths)
-      for (const std::size_t n : cols) {
-        if (m * k * n > 600000) continue;
-        const auto a = signed_zero_matrix(m, k, ++seed);
-        const auto b = signed_zero_matrix(k, n, ++seed);
-        const auto c0 = signed_zero_matrix(m, n, ++seed);
-        auto want = c0;
-        ref_nn_acc(m, k, n, a.data(), b.data(), want.data());
-        for (const GemmMode mode : kModes) {
-          auto got = c0;
-          gemm_nn_acc(m, k, n, a.data(), b.data(), got.data(), mode);
-          expect_bitwise(got, want, "gemm_nn_acc", m, k, n, mode);
-        }
-      }
+      for (const std::size_t n : cols)
+        if (m * k * n <= 600000) check(m, k, n);
+  check(kLarge[0], kLarge[1], kLarge[2]);
 }
 
 TEST(GemmContract, NtMatchesReferenceBitwise) {
   std::uint64_t seed = 400;
+  const auto check = [&seed](std::size_t m, std::size_t n, std::size_t t) {
+    const auto a = signed_zero_matrix(m, t, ++seed);
+    const auto b = signed_zero_matrix(n, t, ++seed);
+    const auto c0 = signed_zero_matrix(m, n, ++seed);
+    auto want = c0;
+    ref_nt_acc(m, n, t, a.data(), b.data(), want.data());
+    auto got = c0;
+    gemm_nt_acc(m, n, t, a.data(), b.data(), got.data());
+    expect_bitwise(got, want, "gemm_nt_acc", m, n, t);
+  };
   std::vector<std::size_t> depths;
   for (std::size_t t = 1; t <= 34; ++t) depths.push_back(t);
   for (const std::size_t t : {64U, 100U, 129U, 216U, 300U}) depths.push_back(t);
@@ -328,39 +302,29 @@ TEST(GemmContract, NtMatchesReferenceBitwise) {
   const std::size_t cols[] = {1, 7, 16, 17, 37};
   for (const std::size_t m : rows)
     for (const std::size_t n : cols)
-      for (const std::size_t t : depths) {
-        const auto a = signed_zero_matrix(m, t, ++seed);
-        const auto b = signed_zero_matrix(n, t, ++seed);
-        const auto c0 = signed_zero_matrix(m, n, ++seed);
-        auto want = c0;
-        ref_nt_acc(m, n, t, a.data(), b.data(), want.data());
-        for (const GemmMode mode : kModes) {
-          auto got = c0;
-          gemm_nt_acc(m, n, t, a.data(), b.data(), got.data(), mode);
-          expect_bitwise(got, want, "gemm_nt_acc", m, n, t, mode);
-        }
-      }
+      for (const std::size_t t : depths) check(m, n, t);
+  check(kLarge[0], kLarge[1], kLarge[2]);
 }
 
 TEST(GemmContract, TnMatchesReferenceBitwise) {
   std::uint64_t seed = 500;
+  const auto check = [&seed](std::size_t p, std::size_t m, std::size_t n) {
+    const auto a = signed_zero_matrix(p, m, ++seed);
+    const auto b = signed_zero_matrix(p, n, ++seed);
+    const auto c0 = signed_zero_matrix(m, n, ++seed);
+    auto want = c0;
+    ref_tn_acc(p, m, n, a.data(), b.data(), want.data());
+    auto got = c0;
+    gemm_tn_acc(p, m, n, a.data(), b.data(), got.data());
+    expect_bitwise(got, want, "gemm_tn_acc", p, m, n);
+  };
   const std::size_t depths[] = {1, 5, 32};
   const std::size_t rows[] = {1, 3, 4, 5, 9, 64};
   const std::size_t cols[] = {1, 8, 15, 16, 17, 33, 47, 216, 300};
   for (const std::size_t p : depths)
     for (const std::size_t m : rows)
-      for (const std::size_t n : cols) {
-        const auto a = signed_zero_matrix(p, m, ++seed);
-        const auto b = signed_zero_matrix(p, n, ++seed);
-        const auto c0 = signed_zero_matrix(m, n, ++seed);
-        auto want = c0;
-        ref_tn_acc(p, m, n, a.data(), b.data(), want.data());
-        for (const GemmMode mode : kModes) {
-          auto got = c0;
-          gemm_tn_acc(p, m, n, a.data(), b.data(), got.data(), mode);
-          expect_bitwise(got, want, "gemm_tn_acc", p, m, n, mode);
-        }
-      }
+      for (const std::size_t n : cols) check(p, m, n);
+  check(kLarge[0], kLarge[1], kLarge[2]);
 }
 
 }  // namespace
