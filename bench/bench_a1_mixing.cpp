@@ -8,8 +8,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -38,4 +39,8 @@ int main(int argc, char** argv) {
                "large rho wastes work on rejected global moves (each one\n"
                "costs a full energy evaluation).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_a1_mixing", run, argc, argv);
 }

@@ -8,8 +8,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto base_opts = bench::bench_options(cfg);
@@ -60,4 +61,8 @@ int main(int argc, char** argv) {
                "size of the configuration manifold, then saturates; very\n"
                "small latents underfit (low acceptance).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_a2_vae_capacity", run, argc, argv);
 }

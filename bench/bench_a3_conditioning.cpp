@@ -8,8 +8,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -37,4 +38,8 @@ int main(int argc, char** argv) {
                "near each walker's window, raising global-move acceptance\n"
                "especially in low-energy (ordered) windows.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_a3_conditioning", run, argc, argv);
 }

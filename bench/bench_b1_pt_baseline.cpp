@@ -13,10 +13,11 @@
 
 #include "bench_common.hpp"
 #include "common/math.hpp"
+#include "common/run_main.hpp"
 #include "mc/parallel_tempering.hpp"
 #include "mc/reweighting.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -102,4 +103,8 @@ int main(int argc, char** argv) {
                "visited bins; PT misses the tails outside its ladder's\n"
                "canonical support, which REWL covers uniformly.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_b1_pt_baseline", run, argc, argv);
 }

@@ -13,8 +13,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -53,4 +54,8 @@ int main(int argc, char** argv) {
   summary.add("wall seconds", clock.seconds());
   bench::emit(summary, cfg, "Figure F1 summary", "summary");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_f1_dos", run, argc, argv);
 }

@@ -10,8 +10,9 @@
 
 #include "bench_common.hpp"
 #include "common/math.hpp"
+#include "common/run_main.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -48,4 +49,8 @@ int main(int argc, char** argv) {
               scan.back().internal_energy / n_atoms);
   bench::emit(summary, cfg, "Figure F2 summary", "summary");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_f2_thermo", run, argc, argv);
 }

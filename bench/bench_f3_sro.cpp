@@ -11,9 +11,10 @@
 
 #include "bench_common.hpp"
 #include "common/math.hpp"
+#include "common/run_main.hpp"
 #include "lattice/sro.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -69,4 +70,8 @@ int main(int argc, char** argv) {
                "(B2-type Mo-Ta order),\nalpha_NbW moderately negative, "
                "all -> 0 above the transition.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_f3_sro", run, argc, argv);
 }

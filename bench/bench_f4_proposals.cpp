@@ -13,9 +13,10 @@
 #include <thread>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 #include "core/decode_plane.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -185,4 +186,8 @@ int main(int argc, char** argv) {
                "round trips / stages than local-swap alone; the pure VAE\n"
                "kernel has global reach but lower acceptance.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_f4_proposals", run, argc, argv);
 }

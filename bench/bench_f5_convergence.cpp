@@ -8,8 +8,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -69,4 +70,8 @@ int main(int argc, char** argv) {
                "wall-clock advantage grows with system size (VAE cost is\n"
                "amortised over the whole run).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_f5_convergence", run, argc, argv);
 }

@@ -13,9 +13,10 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 #include "device/cluster.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -91,4 +92,8 @@ int main(int argc, char** argv) {
          "saturates as gradient/exchange collectives dominate; MI250X\n"
          "kernels are faster but Slingshot latency shows at 3,000 GPUs.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_f6_scaling", run, argc, argv);
 }

@@ -10,6 +10,7 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "core/deepthermo.hpp"
+#include "nn/lane_tanh.hpp"
 #include "nn/trainer.hpp"
 #include "par/minicomm.hpp"
 #include "tensor/gemm.hpp"
@@ -100,7 +101,8 @@ void BM_VaeDecode(benchmark::State& state) {
 BENCHMARK(BM_VaeDecode)->Arg(64)->Arg(256);
 
 // Amortised per-latent decode cost at batch K (range(1)); K = 1 is the
-// pre-fast-path baseline of one GEMM per proposal.
+// pre-fast-path baseline of one GEMM per proposal. {3, 16} is tts54's
+// decode-ahead batch at N = 54.
 void BM_VaeDecodeBatch(benchmark::State& state) {
   System sys(static_cast<int>(state.range(0)));
   auto vae = bench_vae(sys, 64, 16);
@@ -111,6 +113,7 @@ void BM_VaeDecodeBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * k);
 }
 BENCHMARK(BM_VaeDecodeBatch)
+    ->Args({3, 16})
     ->Args({4, 1})
     ->Args({4, 8})
     ->Args({10, 1})
@@ -161,6 +164,46 @@ void BM_GemmNN(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * d * d * d));
 }
 BENCHMARK(BM_GemmNN)->Arg(64)->Arg(256);
+
+// gemm_nn_acc(m, k, n), the decoder's output layer: {16, 64, 216} is
+// tts54's decode-ahead batch (54 sites x 4 species), whose last 216 % 16
+// columns take the padded tail tile.
+void BM_GemmNnAcc(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  std::vector<float> a(m * k, 0.5f);
+  std::vector<float> b(k * n, 0.25f);
+  std::vector<float> c(m * n, 0.0f);
+  for (auto _ : state) {
+    tensor::gemm_nn_acc(m, k, n, a.data(), b.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * m * k * n));
+}
+BENCHMARK(BM_GemmNnAcc)->Args({16, 64, 216});
+
+// The decoder's hidden activation: tanh over a 16 x 64 decode-ahead
+// batch, equal to std::tanh bit for bit. The inputs span (-4, 4) and
+// miss 0, so every value takes the vector path, as decoder
+// pre-activations do.
+void BM_LaneTanh(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<float> src(n), x(n);
+  for (std::size_t i = 0; i < n; ++i)
+    src[i] = -4.0f + 8.0f * (static_cast<float>(i) + 0.5f) /
+                         static_cast<float>(n);
+  for (auto _ : state) {
+    x = src;
+    nn::lane_tanh(x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_LaneTanh)->Arg(1024);
 
 void BM_GemmBackward(benchmark::State& state) {
   const auto d = static_cast<std::size_t>(state.range(0));

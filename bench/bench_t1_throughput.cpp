@@ -8,10 +8,11 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 #include "device/cluster.hpp"
 #include "nn/trainer.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -106,4 +107,8 @@ int main(int argc, char** argv) {
   bench::emit(modelled, cfg, "Table T1b: modelled per-GPU throughput",
               "modelled");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_t1_throughput", run, argc, argv);
 }

@@ -6,8 +6,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   auto opts = bench::bench_options(cfg);
@@ -79,4 +80,8 @@ int main(int argc, char** argv) {
   }
   bench::emit(walkers, cfg, "Table T2c: sampling health", "health");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_t2_rewl_summary", run, argc, argv);
 }

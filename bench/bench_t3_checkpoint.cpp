@@ -12,10 +12,11 @@
 #include <filesystem>
 
 #include "bench_common.hpp"
+#include "common/run_main.hpp"
 #include "common/stopwatch.hpp"
 #include "core/framework.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   const Config cfg = bench::parse_args(argc, argv);
   core::DeepThermoOptions opts = bench::bench_options(cfg);
@@ -78,4 +79,8 @@ int main(int argc, char** argv) {
 
   std::filesystem::remove_all(ckpt_dir);
   return overhead < 0.05 ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("bench_t3_checkpoint", run, argc, argv);
 }

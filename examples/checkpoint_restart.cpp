@@ -12,9 +12,10 @@
 #include <sstream>
 
 #include "common/config.hpp"
+#include "common/run_main.hpp"
 #include "core/deepthermo.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   Config cfg;
   cfg.update_from_args(argc, argv);
@@ -93,4 +94,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(resumed.stats().sweeps),
               resumed.log_f(), resumed.dos().num_visited(), grid.n_bins());
   return identical ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("checkpoint_restart", run, argc, argv);
 }

@@ -11,9 +11,10 @@
 #include <cstdio>
 
 #include "common/math.hpp"
+#include "common/run_main.hpp"
 #include "core/deepthermo.hpp"
 
-int main() {
+int run() {
   using namespace dt;
 
   // A ternary model: species A/B order, C is nearly neutral (dilute
@@ -74,3 +75,5 @@ int main() {
   std::printf("P(E in lowest decile) at T=%.2f: %.4f\n", t, p_low);
   return 0;
 }
+
+int main() { return dt::run_main("custom_alloy", run); }

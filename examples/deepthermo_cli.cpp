@@ -19,6 +19,7 @@
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/run_main.hpp"
 #include "common/table.hpp"
 #include "core/deepthermo.hpp"
 #include "obs/http_server.hpp"
@@ -107,7 +108,7 @@ dt::lattice::LatticeType parse_lattice(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) try {
+int run(int argc, char** argv) {
   using namespace dt;
 
   Config cli;
@@ -133,7 +134,9 @@ int main(int argc, char** argv) try {
 
   // Read every key before anything runs, so require_all_read() below
   // rejects a mistyped key up front.
-  const bool json_logs = cfg.get_string("log_format", "text") == "json";
+  // Set first, so a rejection below is logged in the requested format.
+  if (cfg.get_string("log_format", "text") == "json")
+    set_log_format(LogFormat::kJson);
   const std::string telemetry_path = cfg.get_string("telemetry", "");
   obs::HttpServerOptions so;
   so.bind = cfg.get_string("obs_http_bind", "127.0.0.1");
@@ -183,7 +186,6 @@ int main(int argc, char** argv) try {
   const std::string scan_out = cfg.get_string("scan_out", "");
   cfg.require_all_read();
 
-  if (json_logs) set_log_format(LogFormat::kJson);
   if (!telemetry_path.empty())
     obs::Telemetry::instance().enable(telemetry_path);
   std::optional<obs::HttpServer> obs_server;
@@ -253,9 +255,8 @@ int main(int argc, char** argv) try {
     std::printf("telemetry -> %s\n", telemetry_path.c_str());
   }
   return result.rewl.converged ? 0 : 2;
-} catch (const dt::Error& e) {
-  // Rejected input (or a failed check) exits 1 with its message, so a
-  // script can tell it from a crash.
-  std::fprintf(stderr, "deepthermo_cli: %s\n", e.what());
-  return 1;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("deepthermo_cli", run, argc, argv);
 }

@@ -11,9 +11,10 @@
 #include <fstream>
 
 #include "common/config.hpp"
+#include "common/run_main.hpp"
 #include "core/deepthermo.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   Config cfg;
   cfg.update_from_args(argc, argv);
@@ -57,4 +58,8 @@ int main(int argc, char** argv) {
     std::printf("DOS written to %s\n", save_path.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("dos_of_hea", run, argc, argv);
 }

@@ -12,9 +12,10 @@
 #include <cstdio>
 
 #include "common/config.hpp"
+#include "common/run_main.hpp"
 #include "core/deepthermo.hpp"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dt;
   Config cfg;
   cfg.update_from_args(argc, argv);
@@ -78,4 +79,8 @@ int main(int argc, char** argv) {
   std::printf("reading: negative alpha = ordering preference; the Mo-Ta\n"
               "entry turns strongly negative below Tc (B2-type order).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return dt::run_main("hea_phase_transition", run, argc, argv);
 }

@@ -9,9 +9,10 @@
 // curve and the transition temperature.
 #include <cstdio>
 
+#include "common/run_main.hpp"
 #include "core/deepthermo.hpp"
 
-int main() {
+int run() {
   using namespace dt;
 
   // 1. Describe the system and the run. Defaults are sensible; anything
@@ -58,3 +59,5 @@ int main() {
               mc::transition_temperature(scan));
   return 0;
 }
+
+int main() { return dt::run_main("quickstart", run); }

@@ -19,6 +19,7 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 cells=10           # 2*10^3 = 2000 sites, the ISSUE 4 throughput scale
 budget_sweeps=200  # kernel-quality table budget (not part of the gate)
 min_time=0.5
+repetitions=5      # per micro row; the baseline is their median
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --cells) cells="$2"; shift 2 ;;
@@ -36,11 +37,16 @@ rm -f "${f4_json}"
 
 # Micro kernels: the GEMM + decode + proposal + energy hot paths and one
 # VAE training step. The proposal rows include VaeGlobalProposal/3/16,
-# the 54-site move of the tts54 workload. The kernels run on one thread,
-# as in every REWL rank, so the numbers are what a walker pays.
+# the 54-site move of the tts54 workload, with its decode
+# (VaeDecodeBatch/3/16), output GEMM (GemmNnAcc/16/64/216) and hidden
+# activation (LaneTanh/1024). The kernels run on one thread, as in every
+# REWL rank, so the numbers are what a walker pays. Each row is run
+# ${repetitions} times; the baseline keeps the median CPU time with the
+# min and max, and check.sh's smoke compares its own median against it.
 "${build_dir}/bench/bench_micro" \
-  --benchmark_filter='BM_(GemmNN|GemmBackward|GemmNtAcc|GemmTnAcc|TotalEnergy|VaeDecodeBatch|VaeGlobalProposal|VaeTrainStep)' \
+  --benchmark_filter='BM_(GemmNN|GemmNnAcc|GemmBackward|GemmNtAcc|GemmTnAcc|TotalEnergy|VaeDecodeBatch|VaeGlobalProposal|VaeTrainStep|LaneTanh)' \
   --benchmark_min_time="${min_time}" \
+  --benchmark_repetitions="${repetitions}" \
   --benchmark_out="${micro_json}" --benchmark_out_format=json
 
 # F4 proposal throughput at N = 2*cells^3 sites (appends JSON lines).
@@ -53,6 +59,7 @@ rm -f "${f4_json}"
 
 python3 - "$repo_root" "$micro_json" "$f4_json" "$cells" "$build_dir" <<'PY'
 import json
+import statistics
 import subprocess
 import sys
 
@@ -62,14 +69,24 @@ from host_stamp import host_stamp
 
 with open(micro_path) as f:
     micro_raw = json.load(f)
-micro = {}
+# Per row, the median of its repetitions (cpu_time_ns, what check.sh
+# compares), with the spread the host showed while recording it.
+runs = {}
 for b in micro_raw.get("benchmarks", []):
     if b.get("run_type", "iteration") != "iteration":
         continue
-    micro[b["name"]] = {
-        "cpu_time_ns": round(b["cpu_time"], 1),
-        "real_time_ns": round(b["real_time"], 1),
-        "items_per_second": round(b.get("items_per_second", 0.0), 1),
+    runs.setdefault(b["run_name"], []).append(b)
+micro = {}
+for name, reps in runs.items():
+    cpu = [b["cpu_time"] for b in reps]
+    micro[name] = {
+        "cpu_time_ns": round(statistics.median(cpu), 1),
+        "cpu_min_ns": round(min(cpu), 1),
+        "cpu_max_ns": round(max(cpu), 1),
+        "repetitions": len(reps),
+        "real_time_ns": round(statistics.median(b["real_time"] for b in reps), 1),
+        "items_per_second": round(
+            statistics.median(b.get("items_per_second", 0.0) for b in reps), 1),
     }
 
 f4 = {}
@@ -104,7 +121,7 @@ for walkers, row in f4.get("_walkers", {}).items():
     }
 
 out = {
-    "schema": 2,
+    "schema": 3,
     "host": {**host_stamp(build_dir), "commit": commit},
     "cells": int(cells),
     "micro": dict(sorted(micro.items())),

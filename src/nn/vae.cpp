@@ -9,6 +9,7 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "nn/lane_tanh.hpp"
 #include "tensor/gemm.hpp"
 
 namespace dt::nn {
@@ -181,7 +182,7 @@ VaeLossParts Vae::loss(std::span<const std::uint8_t> occupancies,
       one_hot(occupancies, static_cast<std::int64_t>(batch), conditions);
   std::vector<float> h(batch * hidden);
   encoder_.forward(x.data(), batch, h.data());
-  for (auto& v : h) v = std::tanh(v);
+  lane_tanh(h);
   std::vector<float> mu(n), logvar(n);
   mu_head_.forward(h.data(), batch, mu.data());
   logvar_head_.forward(h.data(), batch, logvar.data());
@@ -205,7 +206,7 @@ VaeLossParts Vae::loss(std::span<const std::uint8_t> occupancies,
 
   std::vector<float> hd(batch * hidden);
   decoder_hidden_.forward(zc.data(), batch, hd.data());
-  for (auto& v : hd) v = std::tanh(v);
+  lane_tanh(hd);
   std::vector<float> logits(batch * sites * species);
   decoder_out_.forward(hd.data(), batch, logits.data());
 
@@ -312,7 +313,7 @@ void Vae::decode_probs_rows(std::span<const float> zc, std::int64_t rows,
   const auto n = static_cast<std::size_t>(rows);
   std::vector<float> hidden(n * static_cast<std::size_t>(options_.hidden));
   decoder_hidden_.infer(zc.data(), n, hidden.data());
-  for (auto& v : hidden) v = std::tanh(v);
+  lane_tanh(hidden);
   decoder_out_.infer(hidden.data(), n, out);
 
   const auto s = static_cast<std::size_t>(options_.n_species);

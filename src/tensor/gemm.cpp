@@ -28,12 +28,13 @@ constexpr std::size_t kNnVecs = 2;
 constexpr std::size_t kTnRows = 4;
 constexpr std::size_t kTnVecs = kLanes == 16 ? 4 : 2;
 
-constexpr std::size_t kKc = 256;       // gemm_nn depth cache block
-constexpr std::size_t kNc = 1024;      // gemm_nn B-panel width cache block
-constexpr std::size_t kPackRows = 32;  // gemm_nn packs B from this many rows
-constexpr std::size_t kTnPanel = 256;  // gemm_tn_acc column panel
-constexpr std::size_t kNtRows = 64;    // gemm_nt_acc row block
-constexpr std::size_t kNtDepth = 128;  // gemm_nt_acc depth chunk
+constexpr std::size_t kKc = 256;        // gemm_nn depth cache block
+constexpr std::size_t kNc = 1024;       // gemm_nn B-panel width cache block
+constexpr std::size_t kPackRows = 32;   // gemm_nn packs B from this many rows
+constexpr std::size_t kTnPanel = 256;   // gemm_tn_acc column panel
+constexpr std::size_t kNtRows = 64;     // gemm_nt_acc row block
+constexpr std::size_t kNtDepth = 128;   // gemm_nt_acc depth chunk
+constexpr std::size_t kTailDepth = 64;  // tail tile depth chunk
 
 inline vf load(const float* p) {
   vf v;
@@ -93,24 +94,43 @@ inline void micro(std::size_t depth, const float* a, std::size_t ars,
       store(c + r * ldc + v * kLanes, acc[r][v]);
 }
 
-/// Edge columns (fewer than kLanes): the same fused, depth-ordered update
-/// with C in memory.
-inline void micro_edge(std::size_t rows, std::size_t cols, std::size_t depth,
-                       const float* a, std::size_t ars, std::size_t aks,
-                       const float* b, std::size_t ldb, float* c,
-                       std::size_t ldc) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* crow = c + r * ldc;
-    for (std::size_t kk = 0; kk < depth; ++kk) {
-      const float ar = a[r * ars + kk * aks];
-      const float* brow = b + kk * ldb;
-      for (std::size_t j = 0; j < cols; ++j) crow[j] += ar * brow[j];
+/// dst[0, cols) = src[0, cols) for cols < kLanes, in at most log2(kLanes)
+/// fixed-size moves: a copy of runtime length would be a library call
+/// per short row.
+inline void copy_short(float* dst, const float* src, std::size_t cols) {
+  std::size_t j = 0;
+#pragma GCC unroll 8
+  for (std::size_t w = kLanes / 2; w > 0; w /= 2)
+    if (cols & w) {
+      std::memcpy(dst + j, src + j, w * sizeof(float));
+      j += w;
     }
+}
+
+/// Tail columns (cols < kLanes): micro<R, 1> over zero-padded stack
+/// copies of them, C's R rows and B one depth chunk at a time. Each real
+/// element takes the same fused, depth-ordered update as in a full tile;
+/// the padding lanes compute on zeros and are dropped.
+template <std::size_t R>
+void micro_tail(std::size_t cols, std::size_t depth, const float* a,
+                std::size_t ars, std::size_t aks, const float* b,
+                std::size_t ldb, float* c, std::size_t ldc) {
+  float ct[R * kLanes] = {};
+  float bt[kTailDepth * kLanes] = {};
+  for (std::size_t r = 0; r < R; ++r)
+    copy_short(ct + r * kLanes, c + r * ldc, cols);
+  for (std::size_t k0 = 0; k0 < depth; k0 += kTailDepth) {
+    const std::size_t kc = std::min(kTailDepth, depth - k0);
+    for (std::size_t kk = 0; kk < kc; ++kk)
+      copy_short(bt + kk * kLanes, b + (k0 + kk) * ldb, cols);
+    micro<R, 1>(kc, a + k0 * aks, ars, aks, bt, kLanes, ct, kLanes);
   }
+  for (std::size_t r = 0; r < R; ++r)
+    copy_short(c + r * ldc, ct + r * kLanes, cols);
 }
 
 /// R rows of C, columns [0, n): V-vector tiles, then one-vector tiles,
-/// then edge columns.
+/// then one padded tile for the tail columns.
 template <std::size_t R, std::size_t V>
 void band(std::size_t depth, std::size_t n, const float* a, std::size_t ars,
           std::size_t aks, const float* b, std::size_t ldb, float* c,
@@ -120,8 +140,7 @@ void band(std::size_t depth, std::size_t n, const float* a, std::size_t ars,
     micro<R, V>(depth, a, ars, aks, b + j, ldb, c + j, ldc);
   for (; j + kLanes <= n; j += kLanes)
     micro<R, 1>(depth, a, ars, aks, b + j, ldb, c + j, ldc);
-  if (j < n)
-    micro_edge(R, n - j, depth, a, ars, aks, b + j, ldb, c + j, ldc);
+  if (j < n) micro_tail<R>(n - j, depth, a, ars, aks, b + j, ldb, c + j, ldc);
 }
 
 void gemm_nn_impl(std::size_t m, std::size_t k, std::size_t n, const float* a,

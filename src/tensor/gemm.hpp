@@ -33,8 +33,9 @@
 //    per value), so their accumulators stay in vector registers across a
 //    tile's whole depth loop: gemm_nn 8 x 32 tiles and gemm_tn_acc 4 x 64
 //    tiles held over all p batch rows (AVX-512; smaller on narrower
-//    targets). Edge columns take a one-register tile, then a plain loop
-//    with the same order.
+//    targets). Columns past the last whole register take one-register
+//    tiles over zero-padded stack copies of B and C, so they run in
+//    vector registers too, in the same order.
 //  * gemm_nt_acc vectorises across outputs: 16 rows of B are transposed
 //    in depth chunks into a stack buffer, and each lane accumulates one
 //    output over four rows of A per pass. All workspace is on the stack.

@@ -1,31 +1,39 @@
-# deepthermo_cli must reject bad input with exit code 1 and a message,
-# before it runs anything: no abort (exit 134), no pretraining first.
+# deepthermo_cli, a bench and an example must reject bad input with exit
+# code 1 and a one-line "<program>: <message>", before they run
+# anything: no abort (exit 134), no pretraining first.
 #
 # Run via `cmake -P` from ctest (see tests/CMakeLists.txt).
-# Required -D variable: CLI (path to the deepthermo_cli binary).
+# Required -D variables: CLI, BENCH and EXAMPLE (paths to the
+# deepthermo_cli, bench_t1_throughput and dos_of_hea binaries).
 
-if(NOT DEFINED CLI)
-  message(FATAL_ERROR "test_cli_rejects_input: -DCLI=... is required")
-endif()
+foreach(var CLI BENCH EXAMPLE)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "test_cli_rejects_input: -D${var}=... is required")
+  endif()
+endforeach()
 
-# flag | text the stderr message must contain
+# program | flag | text the stderr message must contain
 set(cases
-  "--cellz=3|did you mean 'cells'"
-  "--t_points=0|t_points"
-  "--t_lo=-0.1|t_lo"
-  "--log_f_final=0|log_f_final"
-  "--exchange_interval=0|exchange_interval"
-  "--telemetry=rejected.csv|JSONL"
+  "${CLI}|--cellz=3|did you mean 'cells'"
+  "${CLI}|--t_points=0|t_points"
+  "${CLI}|--t_lo=-0.1|t_lo"
+  "${CLI}|--log_f_final=0|log_f_final"
+  "${CLI}|--exchange_interval=0|exchange_interval"
+  "${CLI}|--telemetry=rejected.csv|JSONL"
+  "${BENCH}|--cells=4294967298|cells"
+  "${EXAMPLE}|--seed=-1|seed"
 )
 
 set(failures 0)
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" parts "${case}")
-  list(GET parts 0 flag)
-  list(GET parts 1 expected)
+  list(GET parts 0 program)
+  list(GET parts 1 flag)
+  list(GET parts 2 expected)
+  get_filename_component(name "${program}" NAME)
 
   execute_process(
-    COMMAND "${CLI}" "${flag}"
+    COMMAND "${program}" "${flag}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
@@ -33,20 +41,22 @@ foreach(case IN LISTS cases)
   set(all "${out}${err}")
 
   if(NOT rc EQUAL 1)
-    message(WARNING "${flag}: expected exit code 1, got '${rc}':\n${all}")
+    message(WARNING "${name} ${flag}: expected exit code 1, got '${rc}':\n"
+                    "${all}")
     math(EXPR failures "${failures} + 1")
   else()
-    string(FIND "${err}" "deepthermo_cli: " prefix_at)
+    string(FIND "${err}" "${name}: " prefix_at)
     string(FIND "${err}" "${expected}" at)
     if(prefix_at EQUAL -1 OR at EQUAL -1)
-      message(WARNING "${flag}: stderr lacks 'deepthermo_cli: ' or "
+      message(WARNING "${name} ${flag}: stderr lacks '${name}: ' or "
                       "'${expected}':\n${all}")
       math(EXPR failures "${failures} + 1")
     endif()
   endif()
   string(FIND "${all}" "pretrain:" pretrained)
   if(NOT pretrained EQUAL -1)
-    message(WARNING "${flag}: rejected only after pretraining:\n${all}")
+    message(WARNING "${name} ${flag}: rejected only after pretraining:\n"
+                    "${all}")
     math(EXPR failures "${failures} + 1")
   endif()
 endforeach()

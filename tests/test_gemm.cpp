@@ -260,7 +260,7 @@ constexpr std::size_t kLarge[] = {128, 128, 512};
 
 // Every remainder path: rows % 8 and % 4, columns below, at and past one
 // and two 16-lane vectors, depths on each side of 8 and 16 and past the
-// 128 / 256 depth chunks, and widths past the 256 / 1024 column blocks.
+// 64 / 128 / 256 depth chunks, and widths past the 256 / 1024 column blocks.
 TEST(GemmContract, NnMatchesReferenceBitwise) {
   std::uint64_t seed = 300;
   const auto check = [&seed](std::size_t m, std::size_t k, std::size_t n) {
@@ -318,7 +318,7 @@ TEST(GemmContract, TnMatchesReferenceBitwise) {
     gemm_tn_acc(p, m, n, a.data(), b.data(), got.data());
     expect_bitwise(got, want, "gemm_tn_acc", p, m, n);
   };
-  const std::size_t depths[] = {1, 5, 32};
+  const std::size_t depths[] = {1, 5, 32, 100};
   const std::size_t rows[] = {1, 3, 4, 5, 9, 64};
   const std::size_t cols[] = {1, 8, 15, 16, 17, 33, 47, 216, 300};
   for (const std::size_t p : depths)
